@@ -566,23 +566,9 @@ def _check_weitzenbock_forms(setup, rng):
     N = setup.basis.max_degree
     psi = ge.random_spinor_field(setup.torus, setup.basis, rng,
                                  cutoff=1, max_degree=N - 2)
-    T = ge.torsion_tensor(conn)
-    d = setup.torus.dim
-    terms = []
-    for form in ("ca", "clcl"):
-        M = dr._curvature_prefactors(ctx, form)
-        acc = np.zeros(psi.values.shape, dtype=complex)
-        for l in range(d):
-            for s in range(d):
-                if np.abs(M[l, s]).max() == 0.0:
-                    continue
-                common = ge.spinor_curvature(conn, psi, l, s,
-                                             ctx.lie_mats).values
-                common = common - dr.nabla_dir(ctx, psi, T[l, s]).values
-                acc += np.einsum("FG,...G->...F", M[l, s], common)
-        terms.append(acc)
-    num = dr.l2_norm(ctx, ge.spinor_field(setup.torus, setup.basis,
-                                          terms[0] - terms[1]))
+    gap = (dr.curvature_term(ctx, psi, "ca").values
+           - dr.curvature_term(ctx, psi, "clcl").values)
+    num = dr.l2_norm(ctx, ge.spinor_field(setup.torus, setup.basis, gap))
     den = dr.l2_norm(ctx, psi)
     return num / den if den > 0 else num
 

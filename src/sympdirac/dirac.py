@@ -23,7 +23,7 @@ frame entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -40,10 +40,11 @@ class DiracContext:
     conn: Connection
     basis: fk.FockBasis
     lie_mats: np.ndarray   # (2n,) + grid + (F, F)
-    cl_mats: np.ndarray    # (2n, F, F) Clifford action of coordinate vectors
-    c_mats: np.ndarray
-    a_mats: np.ndarray
-    contract: dict         # operator name -> (2n, F, F) contraction stack
+    # operator name -> (2n, F, F) stack X, the operator being
+    # sum_i X[i] nabla_{e^i} in any frame e_i; contract holds the same
+    # operators on the coordinate frame, as stacks multiplying nabla_k
+    fiber: dict
+    contract: dict
     tau: np.ndarray        # grid + (2n,)
     jtau: np.ndarray
     ginv: np.ndarray       # inverse metric on the coordinate frame
@@ -61,27 +62,23 @@ def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:
     m = conn.torus.model
     if basis.n != m.n:
         raise ValueError("fiber basis and torus model disagree on n")
-    d = 2 * m.n
     cl = ge.clifford_basis_matrices(m, basis, "cl")
-    c = ge.clifford_basis_matrices(m, basis, "c")
-    a = ge.clifford_basis_matrices(m, basis, "a")
-    clj = np.einsum("ci,cFG->iFG", m.j, cl)  # Clifford action of J e_i
-    Om = m.Omega
-    contract = {
-        "D": np.einsum("ik,iFG->kFG", Om, cl),
-        "Dt": np.einsum("ik,iFG->kFG", Om, clj),
-        "Dp": np.einsum("ik,iFG->kFG", Om, c),
-        "Ds": -np.einsum("ik,iFG->kFG", Om, a),
+    fiber = {
+        "D": cl,
+        "Dt": np.einsum("ci,cFG->iFG", m.j, cl),  # Clifford action of J e_i
+        "Dp": ge.clifford_basis_matrices(m, basis, "c"),
+        "Ds": -ge.clifford_basis_matrices(m, basis, "a"),
     }
+    Om = m.Omega
     tau = ge.tau_field(conn).real
     return DiracContext(
         conn=conn,
         basis=basis,
         lie_mats=ge.lie_matrix_field(conn, basis),
-        cl_mats=cl,
-        c_mats=c,
-        a_mats=a,
-        contract=contract,
+        fiber=fiber,
+        # coordinate dual frame: e^i = sum_k Omega[i, k] e_k
+        contract={name: np.einsum("ik,iFG->kFG", Om, stack)
+                  for name, stack in fiber.items()},
         tau=tau,
         jtau=np.einsum("ij,...j->...i", m.j, tau),
         ginv=np.linalg.inv(Om @ m.j),
@@ -92,16 +89,12 @@ def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:
 # batched kernels (trailing batch axis lets the spectrum assembly vectorize)
 
 
-def _nabla_vals(ctx: DiracContext, vals: np.ndarray, b: int) -> np.ndarray:
-    out = ge.partial_derivative(ctx.torus, vals, b)
-    return out + np.einsum("...FG,...Gc->...Fc", ctx.lie_mats[b], vals)
-
-
 def _dirac_vals(ctx: DiracContext, vals: np.ndarray, name: str) -> np.ndarray:
     stack = ctx.contract[name]
     out = np.zeros(vals.shape, dtype=complex)
     for k in range(ctx.torus.dim):
-        out += np.einsum("FG,...Gc->...Fc", stack[k], _nabla_vals(ctx, vals, k))
+        out += np.einsum("FG,...Gc->...Fc", stack[k],
+                         ge.cov_deriv_values(ctx.torus, ctx.lie_mats, vals, k))
     return out
 
 
@@ -115,13 +108,19 @@ def _wrap(ctx: DiracContext, vals: np.ndarray) -> SpinorField:
     return SpinorField(torus=ctx.torus, basis=ctx.basis, values=vals)
 
 
+def _along(stack: np.ndarray, X) -> np.ndarray:
+    """sum_b X^b stack[b] for a (2n,) + grid + (F,) stack and a vector (field)
+    X; on the stack of nabla_full this is nabla_X psi."""
+    return np.einsum("...b,b...F->...F", X, stack)
+
+
 def nabla(ctx: DiracContext, psi: SpinorField, b: int) -> SpinorField:
-    return _wrap(ctx, _nabla_vals(ctx, psi.values[..., None], b)[..., 0])
+    return ge.spinor_cov_deriv(ctx.conn, psi, b, ctx.lie_mats)
 
 
 def nabla_dir(ctx: DiracContext, psi: SpinorField, X: np.ndarray) -> SpinorField:
     """nabla_X psi for a constant vector or vector field X."""
-    return ge.spinor_cov_dir(ctx.conn, psi, X, ctx.lie_mats)
+    return _wrap(ctx, _along(nabla_full(ctx, psi), X))
 
 
 def dirac_D(ctx: DiracContext, psi: SpinorField) -> SpinorField:
@@ -152,25 +151,11 @@ def dirac_via_frame(ctx: DiracContext, psi: SpinorField, frame: np.ndarray,
     frame holds the vectors e_i as columns, constant (2n, 2n) or a field
     grid + (2n, 2n); the symplectically dual frame weights the derivative.
     """
-    m = ctx.model
     dual = ge.dual_frame(ctx.torus, frame)
-    kind, rotate, sign = {
-        "D": ("cl", False, 1.0),
-        "Dt": ("cl", True, 1.0),
-        "Dp": ("c", False, 1.0),
-        "Ds": ("a", False, -1.0),
-    }[name]
-    mats = {"cl": ctx.cl_mats, "c": ctx.c_mats, "a": ctx.a_mats}[kind]
-    out = np.zeros(psi.values.shape, dtype=complex)
-    frame = np.broadcast_to(frame, ctx.torus.grid_shape + (ctx.torus.dim,) * 2)
-    dual = np.broadcast_to(dual, frame.shape)
-    for i in range(ctx.torus.dim):
-        grad = ge.spinor_cov_dir(ctx.conn, psi, dual[..., :, i], ctx.lie_mats)
-        v = frame[..., :, i]
-        if rotate:
-            v = np.einsum("ij,...j->...i", m.j, v)
-        out += sign * ge.spinor_pointwise_op(grad, v, mats).values
-    return _wrap(ctx, out)
+    # nabla_{e^i} psi for each dual frame vector, then the fiber stack at e_i
+    grads = np.einsum("...bi,b...G->i...G", dual, nabla_full(ctx, psi))
+    return _wrap(ctx, np.einsum("...bi,bFG,i...G->...F", frame,
+                                ctx.fiber[name], grads))
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +187,12 @@ def oneform_inner(ctx: DiracContext, beta1: np.ndarray,
 
 def nabla_full(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
     """All covariant derivatives, shape (2n,) + grid + (F,)."""
-    batched = psi.values[..., None]
-    comps = [_nabla_vals(ctx, batched, b)[..., 0] for b in range(ctx.torus.dim)]
-    return np.stack(comps, axis=0)
+    return np.stack([nabla(ctx, psi, b).values for b in range(ctx.torus.dim)])
 
 
 def aj_tau(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """Fiber derivation along the torsion vector, A(tau) psi."""
-    return ge.spinor_pointwise_op(psi, ctx.tau, ctx.a_mats)
+    return ge.spinor_pointwise_op(psi, -ctx.tau, ctx.fiber["Ds"])  # Ds = -A
 
 
 def adjoint_residual(ctx: DiracContext, psi1: SpinorField,
@@ -228,32 +211,23 @@ def nabla_star(ctx: DiracContext, beta: np.ndarray) -> SpinorField:
     (nabla_a beta)(e_b) = nabla_a(beta_b) - beta(Gamma_a e_b) on the
     coordinate frame.  Adjoint to nabla_full for unitary connections.
     """
-    d = ctx.torus.dim
     Gamma = ctx.conn.Gamma
-    out = np.einsum("...b,b...F->...F", ctx.jtau, beta).astype(complex)
-    for aa in range(d):
-        for bb in range(d):
-            if ctx.ginv[aa, bb] == 0.0:
-                continue
-            term = _nabla_vals(ctx, beta[bb][..., None], aa)[..., 0]
-            term -= np.einsum("...c,c...F->...F", Gamma[aa][..., :, bb], beta)
-            out -= ctx.ginv[aa, bb] * term
+    out = _along(beta, ctx.jtau).astype(complex)
+    for aa, bb in zip(*np.nonzero(ctx.ginv)):
+        term = nabla(ctx, _wrap(ctx, beta[bb]), aa).values
+        term -= _along(beta, Gamma[aa][..., :, bb])
+        out -= ctx.ginv[aa, bb] * term
     return _wrap(ctx, out)
 
 
 def laplacian(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """nabla* nabla psi = -g^{ab} nabla^2_{a,b} psi + nabla_{J tau} psi."""
-    d = ctx.torus.dim
-    batched = psi.values[..., None]
-    grads = [_nabla_vals(ctx, batched, b) for b in range(d)]
-    out = nabla_dir(ctx, psi, ctx.jtau).values
-    for aa in range(d):
-        for bb in range(d):
-            if ctx.ginv[aa, bb] == 0.0:
-                continue
-            second = _nabla_vals(ctx, grads[bb], aa)[..., 0]
-            second -= nabla_dir(ctx, psi, ctx.conn.Gamma[aa][..., :, bb]).values
-            out -= ctx.ginv[aa, bb] * second
+    grads = nabla_full(ctx, psi)
+    out = _along(grads, ctx.jtau)
+    for aa, bb in zip(*np.nonzero(ctx.ginv)):
+        second = nabla(ctx, _wrap(ctx, grads[bb]), aa).values
+        second -= _along(grads, ctx.conn.Gamma[aa][..., :, bb])
+        out -= ctx.ginv[aa, bb] * second
     return _wrap(ctx, out)
 
 
@@ -271,38 +245,36 @@ def _curvature_prefactors(ctx: DiracContext, form: str) -> np.ndarray:
     -C(e_k) A(e_r) nabla^2_{e_l e_s} pairings, whose antisymmetric part in
     (l, s) is what survives against the curvature.
     """
-    m = ctx.model
-    d = ctx.torus.dim
-    F = ctx.basis.dim
-    winv = np.linalg.inv(m.Omega)  # w^{kl}
-    M = np.zeros((d, d, F, F), dtype=complex)
+    # w^{kl} = -Omega[k, l], so sum_k w^{kl} X(e_k) = -contract[X][l]; the
+    # two signs in each product cancel
+    c = ctx.contract
     if form == "ca":
-        for l in range(d):
-            for s in range(d):
-                acc = np.zeros((F, F), dtype=complex)
-                for k in range(d):
-                    for r in range(d):
-                        coeff = winv[k, l] * winv[r, s]
-                        if coeff == 0.0:
-                            continue
-                        acc += coeff * (ctx.c_mats[k] @ ctx.a_mats[r]
-                                        - ctx.a_mats[k] @ ctx.c_mats[r])
-                M[l, s] = -0.5 * acc
-        return M
-    if form == "clcl":
-        clj = np.einsum("ci,cFG->iFG", m.j, ctx.cl_mats)
-        for l in range(d):
-            for s in range(d):
-                acc = np.zeros((F, F), dtype=complex)
-                for k in range(d):
-                    for r in range(d):
-                        coeff = winv[k, l] * winv[r, s]
-                        if coeff == 0.0:
-                            continue
-                        acc += coeff * (ctx.cl_mats[k] @ clj[r])
-                M[l, s] = -0.5j * acc
-        return M
-    raise ValueError("form must be 'ca' or 'clcl'")
+        C, A = c["Dp"], -c["Ds"]
+        coeff, left, right = -0.5, [C, A], [A, -C]
+    elif form == "clcl":
+        coeff, left, right = -0.5j, [c["D"]], [c["Dt"]]
+    else:
+        raise ValueError("form must be 'ca' or 'clcl'")
+    return coeff * np.einsum("plFH,psHG->lsFG", left, right)
+
+
+def curvature_term(ctx: DiracContext, psi: SpinorField,
+                   form: str) -> SpinorField:
+    """sum_{l,s} M[l, s] (R(e_l, e_s) - nabla_{T(e_l, e_s)}) psi.
+
+    The curvature-torsion part of the identity for [D', D''], with the
+    prefactors M of form 'ca' or 'clcl'; both forms give the same term.
+    """
+    M = _curvature_prefactors(ctx, form)
+    T = ge.torsion_tensor(ctx.conn)
+    grads = nabla_full(ctx, psi)
+    out = np.zeros(psi.values.shape, dtype=complex)
+    # R and T vanish on the diagonal l = s
+    for l, s in permutations(range(ctx.torus.dim), 2):
+        common = ge.spinor_curvature(ctx.conn, psi, l, s, ctx.lie_mats).values
+        common -= _along(grads, T[l, s])
+        out += np.einsum("FG,...G->...F", M[l, s], common)
+    return _wrap(ctx, out)
 
 
 def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
@@ -319,21 +291,11 @@ def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
     if not ctx.conn.unitary:
         raise ValueError("the curvature identity requires a unitary connection")
     hbar = ctx.model.hbar
-    comm = _wrap(ctx, 0.5 * _p_vals(ctx, psi.values[..., None])[..., 0])
+    comm = 0.5 * _p_vals(ctx, psi.values[..., None])[..., 0]
     rhs = -(0.5 / hbar) * laplacian(ctx, psi).values
     rhs = rhs + (0.5 / hbar) * nabla_dir(ctx, psi, ctx.jtau).values
-    M = _curvature_prefactors(ctx, form)
-    T = ge.torsion_tensor(ctx.conn)
-    d = ctx.torus.dim
-    for l in range(d):
-        for s in range(d):
-            if np.abs(M[l, s]).max() == 0.0:
-                continue
-            common = ge.spinor_curvature(ctx.conn, psi, l, s,
-                                         ctx.lie_mats).values
-            common = common - nabla_dir(ctx, psi, T[l, s]).values
-            rhs = rhs + np.einsum("FG,...G->...F", M[l, s], common)
-    num = l2_norm(ctx, _wrap(ctx, comm.values - rhs))
+    rhs = rhs + curvature_term(ctx, psi, form).values
+    num = l2_norm(ctx, _wrap(ctx, comm - rhs))
     den = l2_norm(ctx, psi)
     return num / den if den > 0 else num
 
@@ -372,8 +334,12 @@ def spectrum(ctx: DiracContext, degree: int) -> np.ndarray:
     The block is spanned by plane waves within the torus cutoff tensored
     with the degree-d fiber monomials (a Galerkin restriction; exact for
     connections within the band budget).  The top fiber degree is excluded
-    because the degree cap distorts [D', D''] there.
+    because the degree cap distorts [D', D''] there, and a non-unitary
+    connection is refused because no single degree block is invariant.
     """
+    if not ctx.conn.unitary:
+        raise ValueError("per-degree spectra need a unitary connection: P"
+                         " couples degree d to d +/- 2 otherwise")
     basis = ctx.basis
     if not 0 <= degree <= basis.max_degree - 1:
         raise ValueError("degree must be at most max_degree - 1 "

@@ -14,7 +14,7 @@ fiber line.  The induced spinor derivative is
 
     nabla_b psi = d_b psi + act(a_b(x), Gamma_b(x)) psi(x)
 
-with act the quadratic-Hamiltonian fiber action of (mu, xi) pairs.  When
+with act the fiber action mpc.lie_action of (mu, xi) pairs.  When
 every Gamma_b(x) commutes with j (the connection is unitary) the fiber
 action preserves polynomial degree.
 """
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock as fk
+from . import mpc
 from . import symplinalg as sl
 from .symplinalg import SymplecticModel
 
@@ -410,21 +411,9 @@ def torsion_removal(conn: Connection) -> Connection:
 
 def central_potential(conn: Connection) -> np.ndarray:
     """The imaginary 1-form a_b + tr_C(j-linear part of Gamma_b)/2."""
-    torus = conn.torus
-    m = torus.model
-    d = torus.dim
-    out = np.array(conn.a, dtype=complex)
-    for b in range(d):
-        lin = sl.linear_part(m, conn.Gamma[b].reshape(-1, d, d))
-        # trace of the complex view of the j-linear part: for a j-linear
-        # real matrix [[P, -Q], [Q, P]] this is tr(P) + i tr(Q)
-        n = m.n
-        P = lin[:, :n, :n]
-        Q = lin[:, n:, :n]
-        out[b] += 0.5 * (np.trace(P, axis1=1, axis2=2)
-                         + 1j * np.trace(Q, axis1=1, axis2=2)).reshape(
-                             torus.grid_shape)
-    return out
+    m = conn.torus.model
+    K = sl.complex_matrix(m, sl.linear_part(m, conn.Gamma), check=False)
+    return conn.a + 0.5 * np.trace(K, axis1=-2, axis2=-1)
 
 
 def central_curvature(conn: Connection) -> np.ndarray:
@@ -508,35 +497,24 @@ def random_spinor_field(torus: TorusModel, basis: fk.FockBasis,
 def lie_matrix_field(conn: Connection, basis: fk.FockBasis) -> np.ndarray:
     """Pointwise fiber matrices of (a_b(x), Gamma_b(x)), shape (2n,)+grid+(F,F).
 
-    Same quadratic-Hamiltonian action as the constant-coefficient case: the
-    degree-preserving part contracts the complex view of the j-linear part
-    of Gamma against the shift tensor; the j-antilinear part feeds the
-    degree +/-2 tensors and vanishes identically for unitary connections.
+    mpc.lie_action applied at every grid point.  A unitary Gamma is projected
+    to its j-linear part first, so the degree +/-2 parts vanish identically.
     """
-    torus = conn.torus
-    m = torus.model
-    d, n = torus.dim, m.n
-    F = basis.dim
-    shift, raise2, lower2 = fk.transfer_tensors(basis.n, basis.max_degree)
-    flat = conn.Gamma.reshape((d, -1, d, d))
-    npts = flat.shape[1]
-    out = np.zeros((d, npts, F, F), dtype=complex)
-    eye = np.eye(F, dtype=complex)
-    for b in range(d):
-        lin = sl.linear_part(m, flat[b])
-        P = lin[:, :n, :n]
-        Q = lin[:, n:, :n]
-        H = P + 1j * Q
-        out[b] = conn.a[b].reshape(npts)[:, None, None] * eye
-        out[b] -= np.einsum("xkl,klFG->xFG", H, shift)
-        if not conn.unitary:
-            anti = flat[b] - lin
-            R = anti[:, :n, :n]
-            S = anti[:, :n, n:]
-            W = R + 1j * S
-            out[b] += np.einsum("xkl,klFG->xFG", W.conj(), raise2) / (4.0 * m.hbar)
-            out[b] -= m.hbar * np.einsum("xkl,klFG->xFG", W, lower2)
-    return out.reshape((d,) + torus.grid_shape + (F, F))
+    m = conn.torus.model
+    Gamma = sl.linear_part(m, conn.Gamma) if conn.unitary else conn.Gamma
+    return mpc.lie_action(m, basis, conn.a, Gamma)
+
+
+def cov_deriv_values(torus: TorusModel, mats: np.ndarray, vals: np.ndarray,
+                     b: int) -> np.ndarray:
+    """nabla_b on raw spinor values: d_b vals + mats[b] vals.
+
+    vals has shape grid + (F, batch); mats is a lie_matrix_field.  Every
+    spinor covariant derivative of the package goes through here.
+    """
+    out = partial_derivative(torus, vals, b)
+    out += np.einsum("...FG,...Gc->...Fc", mats[b], vals)
+    return out
 
 
 def spinor_cov_deriv(conn: Connection, psi: SpinorField, b: int,
@@ -544,21 +522,8 @@ def spinor_cov_deriv(conn: Connection, psi: SpinorField, b: int,
     """nabla_b psi = d_b psi + fiber action of (a_b(x), Gamma_b(x))."""
     if mats is None:
         mats = lie_matrix_field(conn, psi.basis)
-    vals = partial_derivative(psi.torus, psi.values, b)
-    vals = vals + np.einsum("...FG,...G->...F", mats[b], psi.values)
-    return SpinorField(torus=psi.torus, basis=psi.basis, values=vals)
-
-
-def spinor_cov_dir(conn: Connection, psi: SpinorField, X: np.ndarray,
-                   mats: np.ndarray | None = None) -> SpinorField:
-    """nabla_X psi for a (possibly position-dependent) direction field."""
-    if mats is None:
-        mats = lie_matrix_field(conn, psi.basis)
-    out = np.zeros(psi.values.shape, dtype=complex)
-    for b in range(conn.torus.dim):
-        out += np.asarray(X)[..., b, None] * spinor_cov_deriv(
-            conn, psi, b, mats).values
-    return SpinorField(torus=psi.torus, basis=psi.basis, values=out)
+    vals = cov_deriv_values(psi.torus, mats, psi.values[..., None], b)
+    return SpinorField(torus=psi.torus, basis=psi.basis, values=vals[..., 0])
 
 
 def spinor_curvature(conn: Connection, psi: SpinorField, a: int, b: int,

@@ -87,8 +87,7 @@ def random_mpc(model: SymplecticModel, rng: np.random.Generator,
 def _pair_product_logdet(model: SymplecticModel, p1: CZPair, p2: CZPair) -> complex:
     """a(1 - Z_{g1} Z_{g2^{-1}}) for the lam cocycle."""
     W1 = sl.antilinear_matrix(model, p1.Z, check=False)
-    Zm = -p2.C @ np.linalg.solve(p2.C.T, p2.Z.T).T  # Z_{g2^{-1}}
-    Wm = sl.antilinear_matrix(model, Zm, check=False)
+    Wm = sl.antilinear_matrix(model, sl.inverse_z(p2), check=False)
     M = np.eye(model.n) - W1 @ Wm.conj()
     return sl.smooth_log_det(model, M)
 
@@ -171,21 +170,32 @@ def mpc_lie_element(model: SymplecticModel, mu: complex, xi: np.ndarray,
     return MpcLieElement(mu=complex(mu), xi=np.asarray(xi, dtype=float))
 
 
+def lie_action(model: SymplecticModel, basis: fk.FockBasis,
+               mu: complex | np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Fiber matrices of (mu, xi) f = mu f - (df)(eta z) + <z, zeta z>/4hbar f
+    - hbar sum_i d(df(e_i))(zeta e_i), with xi = eta + zeta the j-split.
+
+    Batched over leading axes: mu of shape S and xi of shape S + (2n, 2n)
+    give S + (F, F).  The zeta terms are skipped when zeta vanishes, so a
+    j-linear xi gives exactly degree-preserving matrices.
+    """
+    H = sl.complex_matrix(model, sl.linear_part(model, xi), check=False)
+    W = sl.antilinear_matrix(model, sl.antilinear_part(model, xi), check=False)
+    shift, raise2, lower2 = fk.transfer_tensors(basis.n, basis.max_degree)
+    out = np.einsum("...kl,klab->...ab", -H, shift)
+    diag = np.arange(basis.dim)
+    out[..., diag, diag] += np.asarray(mu)[..., None]
+    if np.abs(W).max() > 0:
+        out += np.einsum("...kl,klab->...ab", W.conj(), raise2) / (4.0 * model.hbar)
+        out -= model.hbar * np.einsum("...kl,klab->...ab", W, lower2)
+    return out
+
+
 def mpc_lie_matrix(model: SymplecticModel, basis: fk.FockBasis,
                    x: MpcLieElement) -> fk.FockOperator:
-    """Fiber matrix of (mu, xi) f = mu f - (df)(eta z) + <z, zeta z>/4hbar f
-    - hbar sum_i d(df(e_i))(zeta e_i), with xi = eta + zeta the j-split."""
-    eta_part = sl.linear_part(model, x.xi)
-    zeta_part = sl.antilinear_part(model, x.xi)
-    H = sl.complex_matrix(model, eta_part, check=False)
-    W = sl.antilinear_matrix(model, zeta_part, check=False)
-    shift, raise2, lower2 = fk.transfer_tensors(basis.n, basis.max_degree)
-    mat = x.mu * np.eye(basis.dim, dtype=complex)
-    mat -= np.einsum("kl,klab->ab", H, shift)
-    if np.abs(W).max() > 0:
-        mat += np.einsum("kl,klab->ab", W.conj(), raise2) / (4.0 * model.hbar)
-        mat -= model.hbar * np.einsum("kl,klab->ab", W, lower2)
-    return fk.FockOperator(basis=basis, matrix=mat, degree_shift=None)
+    """Fiber operator of one (mu, xi) pair; see lie_action."""
+    return fk.FockOperator(basis=basis, matrix=lie_action(model, basis, x.mu, x.xi),
+                           degree_shift=None)
 
 
 def mpc_lie_act(model: SymplecticModel, basis: fk.FockBasis, x: MpcLieElement,
@@ -275,11 +285,10 @@ class GaussianKernel:
 
 def mpc_kernel(model: SymplecticModel, u: MpcElement) -> GaussianKernel:
     K = sl.complex_matrix(model, u.pair.C)
-    Zm = -u.pair.C @ np.linalg.solve(u.pair.C.T, u.pair.Z.T).T
     return GaussianKernel(
         lam=complex(u.lam),
         A=np.linalg.inv(K),
-        B=sl.antilinear_matrix(model, Zm, check=False),
+        B=sl.antilinear_matrix(model, sl.inverse_z(u.pair), check=False),
         Cq=sl.antilinear_matrix(model, u.pair.Z, check=False),
         hbar=model.hbar,
     )
@@ -321,6 +330,18 @@ def uj_kernel_fn(model: SymplecticModel, h: fk.HeisenbergElement):
     return fn
 
 
+def _hermite_rule(order: int, scale: float):
+    """Tensor Gauss-Hermite rule on R^2 for the weight exp(-|x|^2) / pi.
+
+    Returns nodes scale * (s_i, s_j), shape (order^2, 2), and the weights
+    w_i w_j / pi, which sum to 1.
+    """
+    s, wt = np.polynomial.hermite.hermgauss(order)
+    X, Y = np.meshgrid(s, s, indexing="ij")
+    nodes = scale * np.stack([X.ravel(), Y.ravel()], axis=-1)
+    return nodes, (wt[:, None] * wt[None, :]).ravel() / np.pi
+
+
 def kernel_compose_numeric(model: SymplecticModel, K1, K2, quad_order: int = 60):
     """Numerical Berezin composition (K1 o K2)(z, w) for n = 1.
 
@@ -334,10 +355,7 @@ def kernel_compose_numeric(model: SymplecticModel, K1, K2, quad_order: int = 60)
         K1 = gaussian_kernel_fn(model, K1)
     if isinstance(K2, GaussianKernel):
         K2 = gaussian_kernel_fn(model, K2)
-    s, wt = np.polynomial.hermite.hermgauss(quad_order)
-    X, Y = np.meshgrid(s, s, indexing="ij")
-    nodes = np.sqrt(2.0 * model.hbar) * np.stack([X.ravel(), Y.ravel()], axis=-1)
-    weights = (wt[:, None] * wt[None, :]).ravel() / np.pi
+    nodes, weights = _hermite_rule(quad_order, np.sqrt(2.0 * model.hbar))
 
     def composed(z, w):
         z = np.asarray(z, dtype=float)
@@ -365,11 +383,10 @@ def gaussian_integral_check(model: SymplecticModel, W1: complex, W2: complex,
     if model.n != 1:
         raise ValueError("implemented for n = 1 only")
     W1, W2 = complex(W1), complex(W2)
-    s, wt = np.polynomial.hermite.hermgauss(quad_order)
-    z = (s[:, None] + 1j * s[None, :]) / np.sqrt(np.pi)
-    ww = wt[:, None] * wt[None, :]
+    nodes, weights = _hermite_rule(quad_order, 1.0 / np.sqrt(np.pi))
+    z = nodes[:, 0] + 1j * nodes[:, 1]
     F = np.exp(-(np.pi / 2.0) * (np.conj(W1) * z**2 + W2 * np.conj(z) ** 2))
-    lhs = complex(np.sum(ww * F) / np.pi)
+    lhs = complex(np.sum(weights * F))
     rhs = complex(np.exp(-0.5 * sl.smooth_log_det(
         model, np.array([[1.0 - W2 * np.conj(W1)]]))))
     return lhs, rhs
@@ -392,10 +409,7 @@ def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergEle
     ku = gaussian_kernel_fn(model, mpc_kernel(model, u))
     kinv = gaussian_kernel_fn(model, mpc_kernel(model, mpc_inverse(model, u)))
     kuj = uj_kernel_fn(model, h)
-    s, wt = np.polynomial.hermite.hermgauss(quad_order)
-    X, Y = np.meshgrid(s, s, indexing="ij")
-    nodes = np.sqrt(2.0 * model.hbar) * np.stack([X.ravel(), Y.ravel()], axis=-1)
-    weights = (wt[:, None] * wt[None, :]).ravel() / np.pi
+    nodes, weights = _hermite_rule(quad_order, np.sqrt(2.0 * model.hbar))
     # middle factor on the quadrature grid, both weights absorbed
     M = kuj(nodes[:, None, :], nodes[None, :, :]) * weights[:, None] * weights[None, :]
     target = uj_kernel_fn(model, fk.heisenberg_element(g @ np.array(h.v), h.t))

@@ -86,13 +86,13 @@ def vec_from_complex(model: SymplecticModel, z: np.ndarray) -> np.ndarray:
 
 
 def complex_matrix(model: SymplecticModel, A: np.ndarray, check: bool = True) -> np.ndarray:
-    """n x n complex matrix of a j-linear real map (acts as z -> K z)."""
+    """n x n complex matrix of a j-linear real map (z -> K z); batched."""
     n = model.n
     if check:
         comm = A @ model.j - model.j @ A
         if np.abs(comm).max() > ATOL_STRUCT * max(1.0, np.abs(A).max()):
             raise ValueError("matrix does not commute with j")
-    return A[:n, :n] + 1j * A[n:, :n]
+    return A[..., :n, :n] + 1j * A[..., n:, :n]
 
 
 def real_matrix(model: SymplecticModel, K: np.ndarray) -> np.ndarray:
@@ -102,13 +102,13 @@ def real_matrix(model: SymplecticModel, K: np.ndarray) -> np.ndarray:
 
 
 def antilinear_matrix(model: SymplecticModel, Z: np.ndarray, check: bool = True) -> np.ndarray:
-    """n x n complex matrix of a j-antilinear real map (acts as z -> W conj(z))."""
+    """n x n complex matrix of a j-antilinear map (z -> W conj(z)); batched."""
     n = model.n
     if check:
         anti = Z @ model.j + model.j @ Z
         if np.abs(anti).max() > ATOL_STRUCT * max(1.0, np.abs(Z).max(), 1.0):
             raise ValueError("matrix does not anticommute with j")
-    return Z[:n, :n] + 1j * Z[:n, n:]
+    return Z[..., :n, :n] + 1j * Z[..., :n, n:]
 
 
 def antilinear_real(model: SymplecticModel, W: np.ndarray) -> np.ndarray:
@@ -202,7 +202,7 @@ def siegel_check(model: SymplecticModel, Z: np.ndarray, tol: float = ATOL_STRUCT
     matrix W, and the smallest eigenvalue of the Hermitean part of 1 - W Wbar.
     """
     anti = float(np.abs(Z @ model.j + model.j @ Z).max())
-    W = Z[: model.n, : model.n] + 1j * Z[: model.n, model.n :]
+    W = antilinear_matrix(model, Z, check=False)
     sym = float(np.abs(W - W.T).max())
     M = np.eye(model.n) - W @ W.conj()
     herm = (M + M.conj().T) / 2.0
@@ -245,12 +245,14 @@ def cz_compose(model: SymplecticModel, pair: CZPair, check: bool = True) -> np.n
     return g
 
 
+def inverse_z(pair: CZPair) -> np.ndarray:
+    """Z_{g^{-1}} = -C_g Z_g C_g^{-1}, solving against C^T on the right."""
+    return -pair.C @ np.linalg.solve(pair.C.T, pair.Z.T).T
+
+
 def cz_inverse(model: SymplecticModel, pair: CZPair) -> CZPair:
     """Pair of g^{-1}: C_{g^{-1}} = C_g^*, Z_{g^{-1}} = -C_g Z_g C_g^{-1}."""
-    Cinv = j_adjoint(model, pair.C)
-    Zinv = -pair.C @ np.linalg.solve(pair.C.T, pair.Z.T).T
-    # solve against C^T on the right: Z C^{-1} = solve(C^T, Z^T)^T
-    return make_cz_pair(model, Cinv, Zinv)
+    return make_cz_pair(model, j_adjoint(model, pair.C), inverse_z(pair))
 
 
 def cz_product(model: SymplecticModel, p1: CZPair, p2: CZPair) -> CZPair:
@@ -261,7 +263,7 @@ def cz_product(model: SymplecticModel, p1: CZPair, p2: CZPair) -> CZPair:
         C_{g1g2} = C_{g1} M C_{g2}
         Z_{g1g2} = C_{g2}^{-1} M^{-1} (Z_{g1} - Zm) C_{g2}
     """
-    Zm = -p2.C @ np.linalg.solve(p2.C.T, p2.Z.T).T
+    Zm = inverse_z(p2)
     M = np.eye(2 * model.n) - p1.Z @ Zm
     C12 = p1.C @ M @ p2.C
     inner = np.linalg.solve(M, p1.Z - Zm)

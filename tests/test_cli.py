@@ -189,3 +189,13 @@ def test_spectrum_rejects_out_of_range_degree(tmp_path, capsys):
     assert "degree" in capsys.readouterr().err
     assert cli.main(["spectrum", "--config", str(path),
                      "--degrees", "x"]) == 2
+
+
+def test_spectrum_refuses_non_unitary_connection(tmp_path, capsys):
+    cfg = cli.default_config()
+    cfg["connection"]["gamma_modes"][0]["matrix"] = [[0.3, 0.0], [0.0, -0.3]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["spectrum", "--config", str(path),
+                     "--degrees", "0"]) == 2
+    assert "unitary" in capsys.readouterr().err

@@ -347,3 +347,43 @@ def test_spectrum_rejects_top_and_out_of_range_degrees():
         dr.spectrum(ctx, 3)
     with pytest.raises(ValueError):
         dr.spectrum(ctx, -1)
+
+
+def test_spectrum_refuses_non_unitary_connection():
+    # P couples degree d to d +/- 2 there, so no single-degree block is
+    # invariant and its eigenvalues would not belong to P
+    ctx, _ = make_setup(kind="general", cutoff=2, max_degree=4)
+    with pytest.raises(ValueError, match="unitary"):
+        dr.spectrum(ctx, 0)
+
+
+# ---------------------------------------------------------------------------
+# n = 2: u(2) is non-abelian, so [Gamma_a, Gamma_b] enters the curvature
+
+
+def test_identities_with_non_abelian_torsionful_connection():
+    ctx, rng = make_setup(n=2, cutoff=1, max_degree=4, kind="unitary")
+    assert ctx.torus.grid_shape == (5,) * 4
+    assert np.abs(ctx.tau).max() > 1e-3
+    G = ctx.conn.Gamma
+    assert np.abs(G[0] @ G[1] - G[1] @ G[0]).max() > 1e-3
+    N = ctx.basis.max_degree
+    psi = random_psi(ctx, rng, cutoff=1, max_degree=N - 2)
+    phi = random_psi(ctx, rng, cutoff=1)
+    assert dr.adjoint_residual(ctx, psi, phi) < 1e-10
+    for form in ("ca", "clcl"):
+        assert dr.weitzenbock_residual(ctx, psi, form=form) < 1e-10
+    lap = dr.laplacian(ctx, psi).values
+    composed = dr.nabla_star(ctx, dr.nabla_full(ctx, psi)).values
+    assert np.abs(lap - composed).max() < 1e-12
+    frame = sl.random_sp(ctx.model, rng)
+    for name, op in (("D", dr.dirac_D), ("Dt", dr.dirac_Dtilde),
+                     ("Dp", dr.dirac_Dprime), ("Ds", dr.dirac_Dsecond)):
+        fast = op(ctx, psi).values
+        framed = dr.dirac_via_frame(ctx, psi, frame, name).values
+        assert np.abs(fast - framed).max() < 1e-12
+    ca = dr.curvature_term(ctx, psi, "ca").values
+    clcl = dr.curvature_term(ctx, psi, "clcl").values
+    assert np.abs(ca).max() > 1e-2
+    gap = dr.l2_norm(ctx, ge.spinor_field(ctx.torus, ctx.basis, ca - clcl))
+    assert gap < 1e-11 * dr.l2_norm(ctx, psi)

@@ -426,6 +426,24 @@ def test_degree_preservation_iff_unitary():
     assert np.abs(mats_g[..., off_degree]).max() > 1e-3
 
 
+def test_lie_matrix_field_is_the_pointwise_fiber_action():
+    # at each grid point the field holds mpc's action of (a_b(x), Gamma_b(x))
+    rng = np.random.default_rng(RNG_SEED + 11)
+    for n, unitary in ((1, True), (1, False), (2, True), (2, False)):
+        t = small_torus(n=n, cutoff=1)
+        m = t.model
+        B = fk.fock_basis(n, 4)
+        conn = ge.random_connection(t, rng, cutoff=1, unitary=unitary)
+        assert conn.unitary == unitary
+        mats = ge.lie_matrix_field(conn, B)
+        for _ in range(5):
+            b = int(rng.integers(t.dim))
+            idx = tuple(int(i) for i in rng.integers(t.grid_size, size=t.dim))
+            x = mpc.mpc_lie_element(m, conn.a[b][idx], conn.Gamma[b][idx])
+            want = mpc.mpc_lie_matrix(m, B, x).matrix
+            assert np.abs(mats[b][idx] - want).max() < 1e-13
+
+
 def test_fiber_action_is_skew_adjoint_pointwise():
     # d_b h(psi, psi') = h(nabla_b psi, psi') + h(psi, nabla_b psi')
     t = small_torus()

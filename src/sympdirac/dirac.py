@@ -86,14 +86,14 @@ def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:
 
 
 # ---------------------------------------------------------------------------
-# batched kernels (trailing batch axis lets the spectrum assembly vectorize)
+# kernels on raw values
 
 
 def _dirac_vals(ctx: DiracContext, vals: np.ndarray, name: str) -> np.ndarray:
     stack = ctx.contract[name]
     out = np.zeros(vals.shape, dtype=complex)
     for k in range(ctx.torus.dim):
-        out += np.einsum("FG,...Gc->...Fc", stack[k],
+        out += np.einsum("FG,...G->...F", stack[k],
                          ge.cov_deriv_values(ctx.torus, ctx.lie_mats, vals, k))
     return out
 
@@ -102,6 +102,22 @@ def _p_vals(ctx: DiracContext, vals: np.ndarray) -> np.ndarray:
     ds = _dirac_vals(ctx, vals, "Ds")
     dp = _dirac_vals(ctx, vals, "Dp")
     return 2.0 * (_dirac_vals(ctx, ds, "Dp") - _dirac_vals(ctx, dp, "Ds"))
+
+
+def _values(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
+    """The values of psi, once psi is known to live on ctx's torus and fiber.
+
+    Every operator reads its input fields through here.  Models are
+    compared by value, so an equal torus built separately is accepted.
+    """
+    t, mine = psi.torus, ctx.torus
+    if (t.model.n, t.model.hbar, t.cutoff, t.grid_size) != (
+            mine.model.n, mine.model.hbar, mine.cutoff, mine.grid_size):
+        raise ValueError("spinor field lives on another torus than ctx")
+    if (psi.basis.n, psi.basis.max_degree) != (ctx.basis.n,
+                                               ctx.basis.max_degree):
+        raise ValueError("spinor field uses another fiber basis than ctx")
+    return psi.values
 
 
 def _wrap(ctx: DiracContext, vals: np.ndarray) -> SpinorField:
@@ -115,7 +131,8 @@ def _along(stack: np.ndarray, X) -> np.ndarray:
 
 
 def nabla(ctx: DiracContext, psi: SpinorField, b: int) -> SpinorField:
-    return ge.spinor_cov_deriv(ctx.conn, psi, b, ctx.lie_mats)
+    return _wrap(ctx, ge.cov_deriv_values(ctx.torus, ctx.lie_mats,
+                                          _values(ctx, psi), b))
 
 
 def nabla_dir(ctx: DiracContext, psi: SpinorField, X: np.ndarray) -> SpinorField:
@@ -124,24 +141,24 @@ def nabla_dir(ctx: DiracContext, psi: SpinorField, X: np.ndarray) -> SpinorField
 
 
 def dirac_D(ctx: DiracContext, psi: SpinorField) -> SpinorField:
-    return _wrap(ctx, _dirac_vals(ctx, psi.values[..., None], "D")[..., 0])
+    return _wrap(ctx, _dirac_vals(ctx, _values(ctx, psi), "D"))
 
 
 def dirac_Dtilde(ctx: DiracContext, psi: SpinorField) -> SpinorField:
-    return _wrap(ctx, _dirac_vals(ctx, psi.values[..., None], "Dt")[..., 0])
+    return _wrap(ctx, _dirac_vals(ctx, _values(ctx, psi), "Dt"))
 
 
 def dirac_Dprime(ctx: DiracContext, psi: SpinorField) -> SpinorField:
-    return _wrap(ctx, _dirac_vals(ctx, psi.values[..., None], "Dp")[..., 0])
+    return _wrap(ctx, _dirac_vals(ctx, _values(ctx, psi), "Dp"))
 
 
 def dirac_Dsecond(ctx: DiracContext, psi: SpinorField) -> SpinorField:
-    return _wrap(ctx, _dirac_vals(ctx, psi.values[..., None], "Ds")[..., 0])
+    return _wrap(ctx, _dirac_vals(ctx, _values(ctx, psi), "Ds"))
 
 
 def P_op(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """P = 2[D', D'']; degree-preserving and second order."""
-    return _wrap(ctx, _p_vals(ctx, psi.values[..., None])[..., 0])
+    return _wrap(ctx, _p_vals(ctx, _values(ctx, psi)))
 
 
 def dirac_via_frame(ctx: DiracContext, psi: SpinorField, frame: np.ndarray,
@@ -169,7 +186,8 @@ def l2_inner(ctx: DiracContext, psi1: SpinorField, psi2: SpinorField) -> complex
     the uniform grid mean integrates trig polynomials below the grid size.
     """
     w = fk.norm_weights(ctx.model, ctx.basis)
-    dens = np.einsum("...F,F,...F->...", psi1.values, w, psi2.values.conj())
+    dens = np.einsum("...F,F,...F->...", _values(ctx, psi1), w,
+                     _values(ctx, psi2).conj())
     return complex((2.0 * np.pi) ** ctx.torus.dim * dens.mean())
 
 
@@ -192,6 +210,7 @@ def nabla_full(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
 
 def aj_tau(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """Fiber derivation along the torsion vector, A(tau) psi."""
+    _values(ctx, psi)
     return ge.spinor_pointwise_op(psi, -ctx.tau, ctx.fiber["Ds"])  # Ds = -A
 
 
@@ -291,7 +310,7 @@ def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
     if not ctx.conn.unitary:
         raise ValueError("the curvature identity requires a unitary connection")
     hbar = ctx.model.hbar
-    comm = 0.5 * _p_vals(ctx, psi.values[..., None])[..., 0]
+    comm = 0.5 * _p_vals(ctx, _values(ctx, psi))
     rhs = -(0.5 / hbar) * laplacian(ctx, psi).values
     rhs = rhs + (0.5 / hbar) * nabla_dir(ctx, psi, ctx.jtau).values
     rhs = rhs + curvature_term(ctx, psi, form).values
@@ -304,22 +323,74 @@ def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
 # principal symbol and spectra
 
 
+def _mode_coupling(ctx: DiracContext, lhat: np.ndarray, name: str,
+                   rows: np.ndarray, dst: np.ndarray, cols: np.ndarray,
+                   src: np.ndarray) -> np.ndarray:
+    """Fourier matrix of sum_b S_b nabla_b, S = ctx.contract[name].
+
+    Maps (modes cols) x (fiber src) to (modes rows) x (fiber dst), mode
+    major and fiber minor on both sides; modes are grid index tuples in FFT
+    order and lhat holds the Fourier coefficients of ctx.lie_mats, grid +
+    (2n, F, F).  The entry is
+
+        sum_b S_b[dst] (lhat_b((r - c) mod G)[:, src] + i k_{c,b} delta_rc),
+
+    a circular convolution, so it equals the grid operator aliasing included.
+    """
+    torus = ctx.torus
+    G, d = torus.grid_size, torus.dim
+    S = ctx.contract[name][:, dst]
+    # sum_b S_b lhat_b(m) at every mode m, then gathered at r - c
+    conv = np.einsum("bDF,...bFG->...DG", S, lhat[..., src])
+    conv = conv.reshape((G ** d,) + conv.shape[-2:])
+    # flat grid index of (r - c) mod G for every row and column mode
+    shift = sum((rows[:, None, a] - cols[None, :, a]) % G * G ** (d - 1 - a)
+                for a in range(d))
+    # one gather, straight into (rows, dst, cols, src) order
+    di, si = np.ix_(np.arange(len(dst)), np.arange(len(src)))
+    mat = conv[shift[:, None, :, None], di[:, None], si[:, None]]
+    # the derivative i k_{c,b} on the diagonal r = c
+    r, c = np.nonzero(shift == 0)
+    kc = ge.wavenumbers(torus)[cols[c]]
+    mat[r, :, c] += 1j * np.einsum("cb,bDG->cDG", kc, S[..., src])
+    return mat.reshape(len(rows) * len(dst), len(cols) * len(src))
+
+
+def _p_block(ctx: DiracContext, modes: np.ndarray, fiber: np.ndarray,
+             lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Pi P Pi = 2(D' D'' - D'' D') on (modes) x (fiber), mode major.
+
+    The intermediate space is every grid mode times the fiber positions lo
+    (after D'') or hi (after D'), so the product is the grid operator's.
+    """
+    torus = ctx.torus
+    lhat = ge.mode_coefficients(torus, np.moveaxis(ctx.lie_mats, 0, -3))
+    grid = np.indices(torus.grid_shape).reshape(torus.dim, -1).T
+
+    def op(name, rows, dst, cols, src):
+        return _mode_coupling(ctx, lhat, name, rows, dst, cols, src)
+
+    dp_ds = op("Dp", modes, fiber, grid, lo) @ op("Ds", grid, lo, modes, fiber)
+    ds_dp = op("Ds", modes, fiber, grid, hi) @ op("Dp", grid, hi, modes, fiber)
+    return 2.0 * (dp_ds - ds_dp)
+
+
 def symbol_check(ctx: DiracContext, kvec) -> tuple:
     """Demodulated action of P on a plane wave versus its leading symbol.
 
     Returns (blocks, expected) where blocks[d] is the degree-d fiber matrix
     of exp(-ik.x) P exp(ik.x) averaged over the torus and expected is the
     scalar -g^{ab} k_a k_b / hbar; the gap is O(|k|) for unitary
-    connections and zero in the flat case.
+    connections and zero in the flat case.  k must be integral, since
+    exp(ik.x) is a field on the torus only then.
     """
     torus = ctx.torus
     kvec = np.asarray(kvec, dtype=float)
-    phase = ge.grid_points(torus) @ kvec
-    wave = np.exp(1j * phase)
-    F = ctx.basis.dim
-    vals = wave[..., None, None] * np.eye(F)[(None,) * torus.dim]
-    out = _p_vals(ctx, vals) * np.exp(-1j * phase)[..., None, None]
-    full = out.mean(axis=tuple(range(torus.dim)))
+    if kvec.shape != (torus.dim,) or not np.array_equal(kvec, np.round(kvec)):
+        raise ValueError("kvec must be an integral vector of length 2n")
+    mode = (kvec.astype(int) % torus.grid_size)[None]
+    fiber = np.arange(ctx.basis.dim)
+    full = _p_block(ctx, mode, fiber, fiber, fiber)
     blocks = []
     for d in range(ctx.basis.max_degree + 1):
         idx = np.nonzero(ctx.basis.degrees == d)[0]
@@ -333,9 +404,12 @@ def spectrum(ctx: DiracContext, degree: int) -> np.ndarray:
 
     The block is spanned by plane waves within the torus cutoff tensored
     with the degree-d fiber monomials (a Galerkin restriction; exact for
-    connections within the band budget).  The top fiber degree is excluded
-    because the degree cap distorts [D', D''] there, and a non-unitary
-    connection is refused because no single degree block is invariant.
+    connections within the band budget).  It is assembled from the Fourier
+    coefficients of the connection's fiber matrices, with every grid mode
+    in the intermediate space, so it equals P applied on the grid.  The top
+    fiber degree is excluded because the degree cap distorts [D', D'']
+    there, and a non-unitary connection is refused because no single
+    degree block is invariant.
     """
     if not ctx.conn.unitary:
         raise ValueError("per-degree spectra need a unitary connection: P"
@@ -345,28 +419,13 @@ def spectrum(ctx: DiracContext, degree: int) -> np.ndarray:
         raise ValueError("degree must be at most max_degree - 1 "
                          "(the top degree is distorted by truncation)")
     torus = ctx.torus
-    G, d = torus.grid_size, torus.dim
-    fiber_idx = np.nonzero(basis.degrees == degree)[0]
     k = ge.wavenumbers(torus)
-    mode_pos = [i for i in range(G) if abs(k[i]) <= torus.cutoff]
-    modes = list(product(mode_pos, repeat=d))
-    x = ge.grid_points(torus)
-    nb = len(modes) * len(fiber_idx)
-    vals = np.zeros(torus.grid_shape + (basis.dim, nb), dtype=complex)
-    col = 0
-    for mpos in modes:
-        kv = np.array([k[i] for i in mpos], dtype=float)
-        wave = np.exp(1j * (x @ kv))
-        for fi in fiber_idx:
-            vals[..., fi, col] = wave
-            col += 1
-    out = _p_vals(ctx, vals)
-    spec = np.fft.fftn(out, axes=tuple(range(d))) / (G ** d)
-    mat = np.zeros((nb, nb), dtype=complex)
-    row = 0
-    for mpos in modes:
-        for fi in fiber_idx:
-            mat[row] = spec[mpos + (fi,)]
-            row += 1
+    inside = np.nonzero(np.abs(k) <= torus.cutoff)[0]
+    modes = np.array(list(product(inside, repeat=torus.dim)), dtype=int)
+    # the unitary fiber action keeps degree, so D'' lands in degree d - 1
+    # and D' in degree d + 1; every other fiber row is zero
+    lo, fiber, hi = (np.nonzero(basis.degrees == degree + s)[0]
+                     for s in (-1, 0, 1))
+    mat = _p_block(ctx, modes, fiber, lo, hi)
     eig = np.linalg.eigvals(mat)
     return eig[np.lexsort((eig.imag, eig.real))]

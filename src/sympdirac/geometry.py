@@ -509,11 +509,11 @@ def cov_deriv_values(torus: TorusModel, mats: np.ndarray, vals: np.ndarray,
                      b: int) -> np.ndarray:
     """nabla_b on raw spinor values: d_b vals + mats[b] vals.
 
-    vals has shape grid + (F, batch); mats is a lie_matrix_field.  Every
-    spinor covariant derivative of the package goes through here.
+    vals has shape grid + (F,); mats is a lie_matrix_field.  Every spinor
+    covariant derivative of the package goes through here.
     """
     out = partial_derivative(torus, vals, b)
-    out += np.einsum("...FG,...Gc->...Fc", mats[b], vals)
+    out += np.einsum("...FG,...G->...F", mats[b], vals)
     return out
 
 
@@ -522,8 +522,8 @@ def spinor_cov_deriv(conn: Connection, psi: SpinorField, b: int,
     """nabla_b psi = d_b psi + fiber action of (a_b(x), Gamma_b(x))."""
     if mats is None:
         mats = lie_matrix_field(conn, psi.basis)
-    vals = cov_deriv_values(psi.torus, mats, psi.values[..., None], b)
-    return SpinorField(torus=psi.torus, basis=psi.basis, values=vals[..., 0])
+    vals = cov_deriv_values(psi.torus, mats, psi.values, b)
+    return SpinorField(torus=psi.torus, basis=psi.basis, values=vals)
 
 
 def spinor_curvature(conn: Connection, psi: SpinorField, a: int, b: int,

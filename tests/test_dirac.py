@@ -357,6 +357,101 @@ def test_spectrum_refuses_non_unitary_connection():
         dr.spectrum(ctx, 0)
 
 
+def unitary_mode_connection(torus, rng, terms=2, scale=0.3):
+    """Random unitary band-1 connection given by its trigonometric modes.
+
+    The draw does not depend on the grid, so the same connection can be
+    sampled on tori that differ only in grid size.
+    """
+    n, d = torus.model.n, torus.dim
+    gamma, a = [], []
+    for b in range(d):
+        for _ in range(terms):
+            K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            xi = sl.real_matrix(torus.model, scale * (K - K.conj().T))
+            gamma.append((b, rng.integers(-1, 2, size=d),
+                          rng.choice(["cos", "sin"]), xi))
+        a.append((b, rng.integers(-1, 2, size=d), rng.choice(["cos", "sin"]),
+                  1j * scale * rng.normal()))
+    return ge.connection_from_modes(torus, gamma, a)
+
+
+def mode_setup(n, cutoff, max_degree, grid_size=None, seed=RNG_SEED):
+    t = ge.torus_model(sl.standard_model(n, hbar=0.7), cutoff, grid_size)
+    conn = unitary_mode_connection(t, np.random.default_rng(seed))
+    return dr.make_context(conn, fk.fock_basis(n, max_degree))
+
+
+@pytest.mark.parametrize("n, cutoff, max_degree, degrees",
+                         [(1, 2, 4, (0, 1, 2, 3)), (2, 1, 3, (0, 1))])
+def test_spectrum_matches_plane_waves_through_P_op(n, cutoff, max_degree,
+                                                   degrees):
+    ctx = mode_setup(n, cutoff, max_degree)
+    assert ctx.conn.unitary and np.abs(ctx.tau).max() > 1e-3
+    G = ctx.torus.grid_size
+    modes = list(product(range(-cutoff, cutoff + 1), repeat=ctx.torus.dim))
+    for degree in degrees:
+        fiber = np.nonzero(ctx.basis.degrees == degree)[0]
+        rows = tuple(np.array([tuple(m) + (f,) for m in np.mod(modes, G)
+                               for f in fiber]).T)
+        # the Galerkin block one plane wave at a time, read off by FFT
+        cols, trace = [], 0.0j
+        for kv in modes:
+            for fi in fiber:
+                psi = plane_wave_spinor(ctx, kv, fi)
+                out = dr.P_op(ctx, psi)
+                trace += (dr.l2_inner(ctx, out, psi)
+                          / dr.l2_inner(ctx, psi, psi))
+                cols.append(ge.mode_coefficients(ctx.torus, out.values)[rows])
+        eig = dr.spectrum(ctx, degree)
+        assert abs(eig.sum() - trace) < 1e-10 * np.abs(eig).sum()
+        want = np.linalg.eigvals(np.array(cols).T)
+        gap = np.abs(eig[:, None] - want[None])
+        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) < 1e-10
+
+
+@pytest.mark.parametrize("n, cutoff, max_degree, big_grid",
+                         [(1, 2, 4, 11), (2, 1, 3, 7)])
+def test_spectrum_independent_of_grid_size(n, cutoff, max_degree, big_grid):
+    small = mode_setup(n, cutoff, max_degree)
+    big = mode_setup(n, cutoff, max_degree, grid_size=big_grid)
+    assert big.torus.grid_size > small.torus.grid_size
+    for degree in range(max_degree):
+        eig, eig_big = dr.spectrum(small, degree), dr.spectrum(big, degree)
+        assert np.abs(eig.imag).max() > 1e-3
+        gap = np.abs(eig[:, None] - eig_big[None])
+        assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) < 1e-10
+
+
+def test_symbol_check_rejects_non_integral_wavevector():
+    ctx, _ = make_setup(kind="flat", max_degree=3)
+    with pytest.raises(ValueError, match="integral"):
+        dr.symbol_check(ctx, [0.5, 1])
+
+
+def test_operators_reject_field_on_another_torus():
+    ctx, rng = make_setup(kind="unitary", cutoff=2, max_degree=3, hbar=0.7)
+    other = ge.torus_model(sl.standard_model(1, hbar=2.0), 2)
+    assert other.grid_shape == ctx.torus.grid_shape
+    psi = ge.random_spinor_field(other, ctx.basis, rng, cutoff=1)
+    for op in (dr.P_op, dr.dirac_D, dr.laplacian, dr.aj_tau):
+        with pytest.raises(ValueError, match="another torus"):
+            op(ctx, psi)
+    with pytest.raises(ValueError, match="another torus"):
+        dr.l2_inner(ctx, psi, psi)
+    same = ge.torus_model(sl.standard_model(1, hbar=0.7), 2)
+    ok = ge.random_spinor_field(same, ctx.basis, rng, cutoff=1)
+    assert dr.P_op(ctx, ok).values.shape == ok.values.shape
+
+
+def test_operators_reject_field_with_another_basis():
+    ctx, rng = make_setup(kind="unitary", cutoff=2, max_degree=3)
+    psi = ge.random_spinor_field(ctx.torus, fk.fock_basis(1, 5), rng, cutoff=1)
+    for op in (dr.P_op, dr.dirac_Dprime, dr.nabla_full):
+        with pytest.raises(ValueError, match="another fiber basis"):
+            op(ctx, psi)
+
+
 # ---------------------------------------------------------------------------
 # n = 2: u(2) is non-abelian, so [Gamma_a, Gamma_b] enters the curvature
 

@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 import zlib
@@ -670,6 +671,8 @@ def _package_version() -> str:
 
 def run_verify(config: dict, suites=None) -> tuple[dict, int]:
     """Run the selected suites and assemble the report; (report, exit code)."""
+    import scipy
+
     setup = build_setup(config)
     chosen = tuple(suites) if suites else setup.suites
     for name in chosen:
@@ -698,7 +701,13 @@ def run_verify(config: dict, suites=None) -> tuple[dict, int]:
                 "runtime_ms": round(elapsed_ms, 3),
             })
     report = {
-        "environment": {"version": _package_version(), "seed": setup.seed},
+        "environment": {
+            "version": _package_version(),
+            "seed": setup.seed,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "threads": os.environ.get("SYMPDIRAC_THREADS"),
+        },
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks),
     }

@@ -313,19 +313,19 @@ def uj_kernel_fn(model: SymplecticModel, h: fk.HeisenbergElement):
     """Berezin kernel of the Heisenberg operator U_j(v, t), as a callable.
 
     Built by routing each evaluation point through the coherent-state action:
-    K(z, w) = (U_j(v, t) e_w)(z).
+    K(z, w) = (U_j(v, t) e_w)(z).  Each given w goes through the action once,
+    with its own batch shape; the result is then evaluated at z on the
+    broadcast product of the batch axes of z and w.
     """
 
     def fn(z, w):
-        z = np.asarray(z, dtype=float)
-        w = np.asarray(w, dtype=float)
-        zb, wb = np.broadcast_arrays(z, w)
-        flat_w = wb.reshape(-1, 2 * model.n)
+        zc = sl.vec_to_complex(model, np.asarray(z, dtype=float))
+        w = np.atleast_1d(np.asarray(w, dtype=float))
+        flat_w = w.reshape(-1, w.shape[-1])
         combo = fk.uj_apply(model, h, fk.coherent_combo(np.ones(len(flat_w)), flat_w))
-        zc = sl.vec_to_complex(model, zb.reshape(-1, 2 * model.n))
-        cc = sl.vec_to_complex(model, combo.centers).conj()
-        vals = combo.coeffs * np.exp(np.einsum("ik,ik->i", zc, cc) / (2.0 * model.hbar))
-        return vals.reshape(zb.shape[:-1])
+        coeffs = combo.coeffs.reshape(w.shape[:-1])
+        cc = sl.vec_to_complex(model, combo.centers.reshape(w.shape)).conj()
+        return coeffs * np.exp(np.einsum("...k,...k->...", zc, cc) / (2.0 * model.hbar))
 
     return fn
 
@@ -410,12 +410,11 @@ def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergEle
     kinv = gaussian_kernel_fn(model, mpc_kernel(model, mpc_inverse(model, u)))
     kuj = uj_kernel_fn(model, h)
     nodes, weights = _hermite_rule(quad_order, np.sqrt(2.0 * model.hbar))
-    # middle factor on the quadrature grid, both weights absorbed
-    M = kuj(nodes[:, None, :], nodes[None, :, :]) * weights[:, None] * weights[None, :]
+    M = kuj(nodes[:, None, :], nodes[None, :, :])  # middle factor on the quadrature grid
     target = uj_kernel_fn(model, fk.heisenberg_element(g @ np.array(h.v), h.t))
     z = rng.uniform(-1, 1, size=(n_samples, 2))
     w = rng.uniform(-1, 1, size=(n_samples, 2))
-    left = ku(z[:, None, :], nodes)
-    right = kinv(nodes, w[:, None, :])
-    lhs = np.einsum("si,ij,sj->s", left, M, right)
+    left = ku(z[:, None, :], nodes) * weights
+    right = kinv(nodes, w[:, None, :]) * weights
+    lhs = np.sum((left @ M) * right, axis=-1)
     return float(np.abs(lhs - target(z, w)).max())

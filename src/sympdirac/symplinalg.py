@@ -77,6 +77,9 @@ def hermitean_form(model: SymplecticModel, v: np.ndarray, w: np.ndarray) -> comp
 def vec_to_complex(model: SymplecticModel, v: np.ndarray) -> np.ndarray:
     """Complex coordinates z_k = x_k + i y_k of a real vector (or batch)."""
     n = model.n
+    if np.shape(v)[-1:] != (2 * n,):
+        raise ValueError(f"expected real vectors of length 2n = {2 * n} on the last "
+                         f"axis, got shape {np.shape(v)}")
     return v[..., :n] + 1j * v[..., n:]
 
 

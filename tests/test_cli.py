@@ -7,6 +7,7 @@ from itertools import product
 import jsonschema
 import numpy as np
 import pytest
+import scipy
 
 from sympdirac import cli
 
@@ -94,6 +95,18 @@ def test_verify_suite_restriction_and_out_file(tmp_path):
     report = json.loads(out.read_text())
     suites = {c["suite"] for c in report["checks"]}
     assert suites == {"cz", "fock"}
+
+
+def test_verify_environment_records_versions_and_threads(monkeypatch):
+    cfg = cli.default_config()
+    cfg["suites"] = ["cz"]
+    monkeypatch.delenv("SYMPDIRAC_THREADS", raising=False)
+    env = cli.run_verify(cfg)[0]["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
+    assert env["threads"] is None
+    monkeypatch.setenv("SYMPDIRAC_THREADS", "3")
+    assert cli.run_verify(cfg)[0]["environment"]["threads"] == "3"
 
 
 def test_verify_failure_exit_code():

@@ -360,6 +360,88 @@ def test_uj_kernel_matches_coherent_formula():
         assert complex(fn(z, w)) == pytest.approx(expect, rel=1e-12)
 
 
+def test_kernels_reject_vectors_of_wrong_length():
+    m = sl.standard_model(1, hbar=0.7)
+    rng = np.random.default_rng(RNG_SEED + 23)
+    K = mpc.mpc_kernel(m, mpc.random_mpc(m, rng))
+    uj = mpc.uj_kernel_fn(m, fk.heisenberg_element(rng.normal(size=2), 0.2))
+    good, bad = np.zeros(2), np.zeros(3)
+    for z, w in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match="length 2n = 2"):
+            mpc.kernel_eval(m, K, z, w)
+        with pytest.raises(ValueError, match="length 2n = 2"):
+            uj(z, w)
+    with pytest.raises(ValueError, match="length 2n = 2"):
+        fk.creation_op(m, fk.fock_basis(1, 4), bad)
+
+
+def test_uj_kernel_routes_each_w_once_and_broadcasts(monkeypatch):
+    m = sl.standard_model(1, hbar=0.7)
+    rng = np.random.default_rng(RNG_SEED + 21)
+    v = rng.normal(size=2)
+    h = fk.heisenberg_element(v, 0.31)
+    nv = sl.metric_form(m, v, v)
+
+    def closed(z, w):
+        return np.exp(-1j * h.t / m.hbar - nv / (4 * m.hbar)
+                      - sl.hermitean_form(m, v, w) / (2 * m.hbar)
+                      + sl.hermitean_form(m, z, v + w) / (2 * m.hbar))
+
+    centers = []
+    uj_apply = fk.uj_apply
+
+    def counting(model, h, c):
+        centers.append(len(c.centers))
+        return uj_apply(model, h, c)
+
+    monkeypatch.setattr(fk, "uj_apply", counting)
+    fn = mpc.uj_kernel_fn(m, h)
+    k, n_w = 3, 5
+    layouts = [
+        (rng.uniform(-1, 1, size=(k, 1, 2)), rng.uniform(-1, 1, size=(1, n_w, 2))),
+        (rng.uniform(-1, 1, size=(n_w, 2)), rng.uniform(-1, 1, size=(n_w, 2))),
+        (rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=(n_w, 2))),
+        (rng.uniform(-1, 1, size=(k, 2)), rng.uniform(-1, 1, size=2)),
+    ]
+    for z, w in layouts:
+        centers.clear()
+        got = fn(z, w)
+        shape = np.broadcast_shapes(z.shape[:-1], w.shape[:-1])
+        assert got.shape == shape
+        assert centers == [w[..., 0].size]
+        zb, wb = np.broadcast_arrays(z, w)
+        for idx in np.ndindex(shape):
+            assert got[idx] == pytest.approx(closed(zb[idx], wb[idx]), rel=1e-12)
+
+
+@pytest.mark.parametrize("quad_order", [8, 12])
+def test_conjugation_check_matches_unfactored_quadrature(quad_order):
+    m = sl.standard_model(1, hbar=0.7)
+    rng = np.random.default_rng(RNG_SEED + 22)
+    u = mpc.random_mpc(m, rng, scale=0.6)
+    h = fk.heisenberg_element(rng.uniform(-1.5, 1.5, size=2), 0.4)
+    seed = int(rng.integers(2**31))
+    got = mpc.conjugation_check(m, u, h, quad_order=quad_order,
+                                rng=np.random.default_rng(seed))
+
+    # reference: full-broadcast middle kernel with both weights multiplied in
+    ku = mpc.gaussian_kernel_fn(m, mpc.mpc_kernel(m, u))
+    kinv = mpc.gaussian_kernel_fn(m, mpc.mpc_kernel(m, mpc.mpc_inverse(m, u)))
+    kuj = mpc.uj_kernel_fn(m, h)
+    target = mpc.uj_kernel_fn(m, fk.heisenberg_element(mpc.sigma(m, u) @ np.array(h.v), h.t))
+    nodes, weights = mpc._hermite_rule(quad_order, np.sqrt(2.0 * m.hbar))
+    zb, wb = np.broadcast_arrays(nodes[:, None, :], nodes[None, :, :])
+    M = kuj(zb, wb) * weights[:, None] * weights[None, :]
+    sample = np.random.default_rng(seed)
+    z = sample.uniform(-1, 1, size=(10, 2))
+    w = sample.uniform(-1, 1, size=(10, 2))
+    lhs = np.einsum("si,ij,sj->s", ku(z[:, None, :], nodes), M,
+                    kinv(nodes, w[:, None, :]))
+    expect = float(np.abs(lhs - target(z, w)).max())
+    assert expect > 1e-6  # a truncated rule: this pins the quadrature sum itself
+    assert got == pytest.approx(expect, abs=1e-12)
+
+
 def test_kernel_composition_matches_group_law():
     m = sl.standard_model(1, hbar=0.6)
     rng = np.random.default_rng(RNG_SEED + 15)

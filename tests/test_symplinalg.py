@@ -68,6 +68,15 @@ def test_views_reject_wrong_parity():
         sl.antilinear_matrix(m, A)
 
 
+def test_vec_to_complex_rejects_wrong_length():
+    for n in (1, 2):
+        m = model(n)
+        for shape in ((2 * n + 1,), (3, 2 * n - 1), (2 * n, 1), ()):
+            with pytest.raises(ValueError, match=f"length 2n = {2 * n}"):
+                sl.vec_to_complex(m, np.zeros(shape))
+        assert sl.vec_to_complex(m, np.zeros((3, 2 * n))).shape == (3, n)
+
+
 def test_j_adjoint_is_hermitean_adjoint():
     m = model(2)
     rng = np.random.default_rng(RNG_SEED)

@@ -23,7 +23,7 @@ frame entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -288,11 +288,13 @@ def curvature_term(ctx: DiracContext, psi: SpinorField,
     T = ge.torsion_tensor(ctx.conn)
     grads = nabla_full(ctx, psi)
     out = np.zeros(psi.values.shape, dtype=complex)
-    # R and T vanish on the diagonal l = s
-    for l, s in permutations(range(ctx.torus.dim), 2):
-        common = ge.spinor_curvature(ctx.conn, psi, l, s, ctx.lie_mats).values
-        common -= _along(grads, T[l, s])
-        out += np.einsum("FG,...G->...F", M[l, s], common)
+    # R and T are antisymmetric in (l, s), so one pass over l < s with
+    # M[l, s] - M[s, l]; R(e_l, e_s) psi reuses the first derivatives
+    for l, s in combinations(range(ctx.torus.dim), 2):
+        common = (ge.cov_deriv_values(ctx.torus, ctx.lie_mats, grads[s], l)
+                  - ge.cov_deriv_values(ctx.torus, ctx.lie_mats, grads[l], s)
+                  - _along(grads, T[l, s]))
+        out += np.einsum("FG,...G->...F", M[l, s] - M[s, l], common)
     return _wrap(ctx, out)
 
 

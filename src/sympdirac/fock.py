@@ -128,10 +128,6 @@ def fock_inner(model: SymplecticModel, f: FockVector, g: FockVector) -> complex:
     return complex(np.sum(f.coeffs * g.coeffs.conj() * w))
 
 
-def fock_norm(model: SymplecticModel, f: FockVector) -> float:
-    return float(np.sqrt(fock_inner(model, f, f).real))
-
-
 def apply_op(op: FockOperator, f: FockVector) -> FockVector:
     return FockVector(basis=f.basis, coeffs=op.matrix @ f.coeffs)
 

@@ -2,13 +2,16 @@
 
 import csv
 import json
+import re
 from itertools import product
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 import scipy
 
+import sympdirac
 from sympdirac import cli
 
 
@@ -118,6 +121,32 @@ def test_verify_failure_exit_code():
     assert report["all_pass"] is False
     failed = [c for c in report["checks"] if not c["pass"]]
     assert [c["name"] for c in failed] == ["cz-roundtrip"]
+
+
+def test_verify_nan_residual_fails(tmp_path):
+    # at hbar = 1e-4 every coherent-state trial overflows to NaN
+    cfg = cli.default_config()
+    cfg["model"]["hbar"] = 1e-4
+    cfg["suites"] = ["fock"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        code = cli.main(["verify", "--config", str(path), "--out", str(out)])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in ("heisenberg-unitarity", "heisenberg-group-law"):
+        assert np.isnan(checks[name]["max_residual"])
+        assert checks[name]["pass"] is False
+
+
+def test_verify_reports_package_version():
+    cfg = cli.default_config()
+    cfg["suites"] = ["cz"]
+    version = cli.run_verify(cfg)[0]["environment"]["version"]
+    assert version == sympdirac.__version__
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert version == re.search(r'^version = "([^"]+)"', text, re.M).group(1)
 
 
 def test_verify_config_errors(tmp_path, capsys):

@@ -304,7 +304,9 @@ def _check_ccr(setup, rng):
         comm = C @ A - A @ C
         expect = -complex(sl.hermitean_form(m, w, v)) / (2.0 * m.hbar)
         gap = comm - expect * np.eye(B.dim)
-        yield np.abs(gap[:, cols]).max()
+        # relative to the Cauchy-Schwarz bound |v||w|/2hbar on |expect|
+        bound = np.linalg.norm(v) * np.linalg.norm(w) / (2.0 * m.hbar)
+        yield np.abs(gap[:, cols]).max() / bound
 
 
 def _check_clifford(setup, rng):
@@ -318,7 +320,9 @@ def _check_clifford(setup, rng):
         comm = Cv @ Cw - Cw @ Cv
         expect = 1j * sl.omega_form(m, v, w) / m.hbar
         gap = comm - expect * np.eye(B.dim)
-        yield np.abs(gap[:, cols]).max()
+        # relative to the Cauchy-Schwarz bound |v||w|/hbar on |expect|
+        bound = np.linalg.norm(v) * np.linalg.norm(w) / m.hbar
+        yield np.abs(gap[:, cols]).max() / bound
 
 
 def _check_adjoint_pair(setup, rng):

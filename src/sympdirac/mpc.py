@@ -309,22 +309,35 @@ def gaussian_kernel_fn(model: SymplecticModel, K: GaussianKernel):
     return lambda z, w: kernel_eval(model, K, z, w)
 
 
+def _uj_route(model: SymplecticModel, h: fk.HeisenbergElement, w):
+    """Route the points w through U_j(v, t) once: U_j e_w = coeffs e_c.
+
+    Returns coeffs of shape w.shape[:-1] and the conjugate complex centers
+    conj(c) of shape w.shape[:-1] + (n,), so (U_j e_w)(z) is
+    coeffs exp(<z, c>/2hbar) with <z, c> = sum_k z_k conj(c)_k.
+    """
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    flat_w = w.reshape(-1, w.shape[-1])
+    combo = fk.uj_apply(model, h, fk.coherent_combo(np.ones(len(flat_w)), flat_w))
+    coeffs = combo.coeffs.reshape(w.shape[:-1])
+    return coeffs, sl.vec_to_complex(model, combo.centers.reshape(w.shape)).conj()
+
+
 def uj_kernel_fn(model: SymplecticModel, h: fk.HeisenbergElement):
     """Berezin kernel of the Heisenberg operator U_j(v, t), as a callable.
 
     Built by routing each evaluation point through the coherent-state action:
-    K(z, w) = (U_j(v, t) e_w)(z).  Each given w goes through the action once,
-    with its own batch shape; the result is then evaluated at z on the
-    broadcast product of the batch axes of z and w.
+    K(z, w) = (U_j(v, t) e_w)(z) = coeffs(w) exp(<z, c(w)>/2hbar).  Each given
+    w goes through the action once (`_uj_route`), with its own batch shape;
+    the result is then evaluated at z on the broadcast product of the batch
+    axes of z and w.  `conjugation_check` takes the same routed coeffs and
+    centers on its quadrature nodes and factors the exponential over the
+    tensor grid instead of evaluating this callable there.
     """
 
     def fn(z, w):
         zc = sl.vec_to_complex(model, np.asarray(z, dtype=float))
-        w = np.atleast_1d(np.asarray(w, dtype=float))
-        flat_w = w.reshape(-1, w.shape[-1])
-        combo = fk.uj_apply(model, h, fk.coherent_combo(np.ones(len(flat_w)), flat_w))
-        coeffs = combo.coeffs.reshape(w.shape[:-1])
-        cc = sl.vec_to_complex(model, combo.centers.reshape(w.shape)).conj()
+        coeffs, cc = _uj_route(model, h, w)
         return coeffs * np.exp(np.einsum("...k,...k->...", zc, cc) / (2.0 * model.hbar))
 
     return fn
@@ -400,6 +413,13 @@ def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergEle
     Both compositions on the left are carried out by numerical quadrature
     (n = 1); the right side is the exact Heisenberg kernel at the transported
     vector gv.  Sample points are drawn in the unit box.
+
+    The middle kernel on the quadrature grid is never formed.  Each node w_j
+    goes through U_j once, giving coeffs_j and conj(c_j); at a tensor node
+    z = (x_a, y_b) the kernel coeffs_j exp((x_a + i y_b) conj(c_j)/2hbar)
+    factors as coeffs_j Ex[a, j] Ey[b, j].  The double sum over the grid is
+    then one (samples * Q, Q) @ (Q, Q^2) product followed by a contraction
+    over b, on Q x Q^2 exponentials instead of Q^2 x Q^2.
     """
     if model.n != 1:
         raise ValueError("implemented for n = 1 only")
@@ -408,13 +428,18 @@ def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergEle
     g = sigma(model, u)
     ku = gaussian_kernel_fn(model, mpc_kernel(model, u))
     kinv = gaussian_kernel_fn(model, mpc_kernel(model, mpc_inverse(model, u)))
-    kuj = uj_kernel_fn(model, h)
     nodes, weights = _hermite_rule(quad_order, np.sqrt(2.0 * model.hbar))
-    M = kuj(nodes[:, None, :], nodes[None, :, :])  # middle factor on the quadrature grid
+    coeffs, cc = _uj_route(model, h, nodes)
+    x = nodes[::quad_order, 0, None]  # node (a, b) sits at (x_a, y_b)
+    y = nodes[:quad_order, 1, None]
+    Ex = np.exp(x * cc[:, 0] / (2.0 * model.hbar))
+    Ey = np.exp(1j * y * cc[:, 0] / (2.0 * model.hbar))
     target = uj_kernel_fn(model, fk.heisenberg_element(g @ np.array(h.v), h.t))
     z = rng.uniform(-1, 1, size=(n_samples, 2))
     w = rng.uniform(-1, 1, size=(n_samples, 2))
-    left = ku(z[:, None, :], nodes) * weights
-    right = kinv(nodes, w[:, None, :]) * weights
-    lhs = np.sum((left @ M) * right, axis=-1)
+    left = (ku(z[:, None, :], nodes) * weights).reshape(n_samples, quad_order, quad_order)
+    right = kinv(nodes, w[:, None, :]) * weights * coeffs
+    inner = (left.transpose(0, 2, 1).reshape(-1, quad_order) @ Ex).reshape(
+        n_samples, quad_order, -1)
+    lhs = np.sum(np.einsum("sbj,bj->sj", inner, Ey) * right, axis=-1)
     return float(np.abs(lhs - target(z, w)).max())

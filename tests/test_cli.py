@@ -140,6 +140,20 @@ def test_verify_nan_residual_fails(tmp_path):
         assert checks[name]["pass"] is False
 
 
+@pytest.mark.parametrize("hbar", [1e-4, 10.0])
+def test_verify_commutator_checks_are_scale_free(hbar):
+    # both commutators scale as 1/hbar; their residuals are relative to it
+    cfg = cli.default_config()
+    cfg["model"]["hbar"] = hbar
+    cfg["suites"] = ["fock"]
+    with np.errstate(all="ignore"):
+        report, _ = cli.run_verify(cfg)
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in ("ccr-commutator", "clifford-commutator"):
+        assert checks[name]["tolerance"] == 1e-13
+        assert checks[name]["pass"] is True
+
+
 def test_verify_reports_package_version():
     cfg = cli.default_config()
     cfg["suites"] = ["cz"]

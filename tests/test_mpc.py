@@ -1,5 +1,6 @@
 """Tests for Mp^c parameter arithmetic, fiber actions, and Berezin kernels."""
 
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -440,6 +441,50 @@ def test_conjugation_check_matches_unfactored_quadrature(quad_order):
     expect = float(np.abs(lhs - target(z, w)).max())
     assert expect > 1e-6  # a truncated rule: this pins the quadrature sum itself
     assert got == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("hbar", [0.3, 0.7, 1.0, 10.0])
+def test_conjugation_check_matches_unfactored_quadrature_at_order_40(hbar):
+    m = sl.standard_model(1, hbar=hbar)
+    rng = np.random.default_rng(RNG_SEED + 24)
+    u = mpc.random_mpc(m, rng, scale=0.4)
+    h = fk.heisenberg_element(rng.uniform(-1, 1, size=2), 0.3)
+    seed = int(rng.integers(2**31))
+    got = mpc.conjugation_check(m, u, h, rng=np.random.default_rng(seed))
+
+    # reference: the 1600 x 1600 middle kernel on the full tensor grid
+    ku = mpc.gaussian_kernel_fn(m, mpc.mpc_kernel(m, u))
+    kinv = mpc.gaussian_kernel_fn(m, mpc.mpc_kernel(m, mpc.mpc_inverse(m, u)))
+    kuj = mpc.uj_kernel_fn(m, h)
+    target = mpc.uj_kernel_fn(m, fk.heisenberg_element(mpc.sigma(m, u) @ np.array(h.v), h.t))
+    nodes, weights = mpc._hermite_rule(40, np.sqrt(2.0 * m.hbar))
+    zb, wb = np.broadcast_arrays(nodes[:, None, :], nodes[None, :, :])
+    M = kuj(zb, wb) * weights[:, None] * weights[None, :]
+    sample = np.random.default_rng(seed)
+    z = sample.uniform(-1, 1, size=(10, 2))
+    w = sample.uniform(-1, 1, size=(10, 2))
+    lhs = np.einsum("si,ij,sj->s", ku(z[:, None, :], nodes), M,
+                    kinv(nodes, w[:, None, :]))
+    want = target(z, w)
+    expect = float(np.abs(lhs - want).max())
+    assert np.isfinite(got)
+    assert abs(got - expect) <= 1e-12 * np.abs(want).max()
+
+
+def test_conjugation_check_memory_peak():
+    m = sl.standard_model(1, hbar=0.7)
+    rng = np.random.default_rng(RNG_SEED + 25)
+    u = mpc.random_mpc(m, rng, scale=0.4)
+    h = fk.heisenberg_element(rng.uniform(-1, 1, size=2), 0.3)
+    mpc.conjugation_check(m, u, h, rng=np.random.default_rng(0))  # warm
+    tracemalloc.start()
+    try:
+        mpc.conjugation_check(m, u, h, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 1600 x 1600 middle kernel alone would take 41 MB
+    assert peak < 25e6
 
 
 def test_kernel_composition_matches_group_law():

@@ -5,7 +5,8 @@ fock         truncated Fock fibers, coherent states, Heisenberg operators
 mpc          circle-extended group arithmetic, fiber actions, Berezin kernels
 geometry     flat-torus fields, connections, torsion and curvature
 dirac        the four first-order operators, adjoints, spectra
-cli          JSON-configured verification suites and spectrum tables
+checks       the verification checks, one ordered registry of residuals
+cli          the command line: JSON configs, verify reports, spectrum tables
 """
 
 import os as _os

@@ -241,13 +241,7 @@ def nabla_star(ctx: DiracContext, beta: np.ndarray) -> SpinorField:
 
 def laplacian(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """nabla* nabla psi = -g^{ab} nabla^2_{a,b} psi + nabla_{J tau} psi."""
-    grads = nabla_full(ctx, psi)
-    out = _along(grads, ctx.jtau)
-    for aa, bb in zip(*np.nonzero(ctx.ginv)):
-        second = nabla(ctx, _wrap(ctx, grads[bb]), aa).values
-        second -= _along(grads, ctx.conn.Gamma[aa][..., :, bb])
-        out -= ctx.ginv[aa, bb] * second
-    return _wrap(ctx, out)
+    return nabla_star(ctx, nabla_full(ctx, psi))
 
 
 # ---------------------------------------------------------------------------

@@ -135,26 +135,16 @@ def apply_op(op: FockOperator, f: FockVector) -> FockVector:
 def creation_op(model: SymplecticModel, basis: FockBasis, v: np.ndarray) -> FockOperator:
     """c(v): multiplication by <z, v>/2hbar; raises degree, top degree dropped."""
     vc = vec_to_complex(model, np.asarray(v, dtype=float)).conj()
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for col, alpha in enumerate(basis.indices):
-        if sum(alpha) == basis.max_degree:
-            continue
-        for k in range(basis.n):
-            up = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]
-            mat[basis.index_of[up], col] += vc[k] / (2.0 * model.hbar)
+    R, _ = ladder_ops(basis.n, basis.max_degree)
+    mat = np.tensordot(vc / (2.0 * model.hbar), R, axes=1)
     return FockOperator(basis=basis, matrix=mat, degree_shift=1)
 
 
 def annihilation_op(model: SymplecticModel, basis: FockBasis, v: np.ndarray) -> FockOperator:
     """a(v): derivative of polynomials along v, sum_k v_k d/dz_k (exact)."""
     vc = vec_to_complex(model, np.asarray(v, dtype=float))
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for col, alpha in enumerate(basis.indices):
-        for k in range(basis.n):
-            if alpha[k] == 0:
-                continue
-            down = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
-            mat[basis.index_of[down], col] += vc[k] * alpha[k]
+    _, L = ladder_ops(basis.n, basis.max_degree)
+    mat = np.tensordot(vc, L, axes=1)
     return FockOperator(basis=basis, matrix=mat, degree_shift=-1)
 
 
@@ -171,6 +161,27 @@ def adjoint_matrix(model: SymplecticModel, basis: FockBasis, mat: np.ndarray) ->
 
 
 @lru_cache(maxsize=None)
+def ladder_ops(n: int, max_degree: int):
+    """Unit ladders (R, L) of the monomial basis, each of shape (n, F, F).
+
+    R[k] is multiplication by z_k (degree +1, top degree dropped) and
+    L[k] is d/dz_k (degree -1); every other fiber tensor is built from them.
+    """
+    basis = fock_basis(n, max_degree)
+    ladders = np.zeros((2, n, basis.dim, basis.dim))
+    for col, alpha in enumerate(basis.indices):
+        for k in range(n):
+            up = alpha[:k] + (alpha[k] + 1,) + alpha[k + 1:]
+            if up in basis.index_of:
+                ladders[0, k, basis.index_of[up], col] = 1.0
+            if alpha[k] > 0:
+                down = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
+                ladders[1, k, basis.index_of[down], col] = alpha[k]
+    ladders.flags.writeable = False  # cached, so shared by every caller
+    return tuple(ladders)
+
+
+@lru_cache(maxsize=None)
 def transfer_tensors(n: int, max_degree: int):
     """Structural fiber tensors used by quadratic Hamiltonian actions.
 
@@ -179,31 +190,10 @@ def transfer_tensors(n: int, max_degree: int):
       raise2[k, l] = matrix of z_k z_l *         (degree +2, top rows dropped)
       lower2[m, i] = matrix of d/dz_m d/dz_i     (degree -2)
     """
-    basis = fock_basis(n, max_degree)
-    F = basis.dim
-    shift = np.zeros((n, n, F, F))
-    raise2 = np.zeros((n, n, F, F))
-    lower2 = np.zeros((n, n, F, F))
-    for col, alpha in enumerate(basis.indices):
-        deg = sum(alpha)
-        for k in range(n):
-            for l in range(n):
-                if alpha[k] > 0:
-                    tgt = list(alpha)
-                    tgt[k] -= 1
-                    tgt[l] += 1
-                    shift[k, l, basis.index_of[tuple(tgt)], col] = alpha[k]
-                if deg + 2 <= max_degree:
-                    tgt = list(alpha)
-                    tgt[k] += 1
-                    tgt[l] += 1
-                    raise2[k, l, basis.index_of[tuple(tgt)], col] = 1.0
-                if alpha[k] > 0 and (alpha[l] - (1 if l == k else 0)) > 0:
-                    tgt = list(alpha)
-                    tgt[k] -= 1
-                    coeff = alpha[k] * tgt[l]
-                    tgt[l] -= 1
-                    lower2[k, l, basis.index_of[tuple(tgt)], col] = coeff
+    R, L = ladder_ops(n, max_degree)
+    shift = R[None, :] @ L[:, None]
+    raise2 = R[:, None] @ R[None, :]
+    lower2 = L[:, None] @ L[None, :]
     return shift, raise2, lower2
 
 

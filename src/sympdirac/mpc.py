@@ -120,26 +120,18 @@ def muc_matrix(model: SymplecticModel, basis: fk.FockBasis, u: MpcElement,
     if np.abs(u.pair.Z).max() > tol:
         raise ValueError("element does not lie over the unitary group (Z != 0)")
     Kinv = np.linalg.inv(sl.complex_matrix(model, u.pair.C))
-    n, F = basis.n, basis.dim
-    # index table: raise_idx[l, i] = position of indices[i] + delta_l
-    raise_idx = np.full((n, F), -1, dtype=int)
-    for i, alpha in enumerate(basis.indices):
-        for l in range(n):
-            up = alpha[:l] + (alpha[l] + 1,) + alpha[l + 1:]
-            raise_idx[l, i] = basis.index_of.get(up, -1)
-    mat = np.zeros((F, F), dtype=complex)
+    R, _ = fk.ladder_ops(basis.n, basis.max_degree)
+    # raise_by[k] multiplies by the k-th entry of K^{-1} z
+    raise_by = np.tensordot(Kinv, R, axes=1)
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     mat[0, 0] = 1.0
-    for col, alpha in enumerate(basis.indices):
-        if col == 0:
-            continue
+    for col, alpha in enumerate(basis.indices[1:], start=1):
         k = next(a for a, ak in enumerate(alpha) if ak > 0)
         lower = alpha[:k] + (alpha[k] - 1,) + alpha[k + 1:]
-        prev = mat[:, basis.index_of[lower]]
-        out = np.zeros(F, dtype=complex)
-        for i in np.nonzero(prev)[0]:
-            for l in range(n):
-                out[raise_idx[l, i]] += prev[i] * Kinv[k, l]
-        mat[:, col] = out
+        # einsum, unlike @ and the SIMD multiply, rounds each complex
+        # product separately, so the entries agree with scalar arithmetic
+        mat[:, col] = np.einsum("ji,i->j", raise_by[k],
+                                mat[:, basis.index_of[lower]])
     return fk.FockOperator(basis=basis, matrix=u.lam * mat, degree_shift=0)
 
 

@@ -157,11 +157,7 @@ def sp_algebra_residual(model: SymplecticModel, xi: np.ndarray) -> float:
 
 def random_sp(model: SymplecticModel, rng: np.random.Generator, scale: float = 0.35) -> np.ndarray:
     """Random symplectic matrix exp(Omega^{-1} S) with S symmetric Gaussian."""
-    d = 2 * model.n
-    S = rng.standard_normal((d, d))
-    S = scale * (S + S.T) / 2.0
-    xi = np.linalg.solve(model.Omega, S)
-    return expm(xi)
+    return expm(random_sp_algebra(model, rng, scale))
 
 
 def random_sp_algebra(model: SymplecticModel, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -1,0 +1,40 @@
+"""Tests for the check registry, run as a library without the command line."""
+
+from sympdirac import checks
+from sympdirac import fock as fk
+from sympdirac import geometry as ge
+from sympdirac import symplinalg as sl
+
+
+def flat_setup(seed=5):
+    model = sl.standard_model(1, hbar=0.7)
+    torus = ge.torus_model(model, 2)
+    return checks.RunSetup(model=model, basis=fk.fock_basis(1, 4),
+                           torus=torus, conn=ge.flat_connection(torus),
+                           seed=seed, quad_order=60,
+                           tolerances={}, suites=checks.SUITES)
+
+
+def test_run_checks_runs_one_suite_from_the_library():
+    rows = checks.run_checks(flat_setup(), ("cz",))
+    want = [c for c in checks.CHECKS if c.suite == "cz"]
+    assert [r["name"] for r in rows] == [c.name for c in want]
+    for row, check in zip(rows, want):
+        assert row["suite"] == "cz"
+        assert row["anchor"] == check.anchor
+        assert row["tolerance"] == check.tolerance
+        assert row["pass"] is True
+        assert 0 <= row["max_residual"] < check.tolerance
+        assert row["runtime_ms"] >= 0
+
+
+def test_each_suite_draws_from_its_own_stream():
+    def residuals(suites, seed=5):
+        rows = checks.run_checks(flat_setup(seed), suites)
+        return {r["name"]: r["max_residual"] for r in rows
+                if r["suite"] == "cz"}
+
+    alone = residuals(("cz",))
+    assert residuals(("fock", "cz")) == alone
+    assert residuals(("cz",), seed=6) != alone
+

@@ -12,7 +12,7 @@ import pytest
 import scipy
 
 import sympdirac
-from sympdirac import cli
+from sympdirac import checks, cli
 
 
 def flat_config(M=2, N=4):
@@ -255,3 +255,65 @@ def test_spectrum_refuses_non_unitary_connection(tmp_path, capsys):
     assert cli.main(["spectrum", "--config", str(path),
                      "--degrees", "0"]) == 2
     assert "unitary" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# registry and config robustness
+
+
+def test_suites_everywhere_follow_the_check_registry(capsys):
+    suites = list(checks.SUITES)
+    schema = json.loads(cli.emit_schema())
+    assert schema["properties"]["suites"]["items"]["enum"] == suites
+    assert cli.default_config()["suites"] == suites
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    choices = re.search(r"--suite \{([^}]*)\}", capsys.readouterr().out)
+    assert choices.group(1).split(",") == suites
+    report, _ = cli.run_verify(cli.default_config())
+    assert [(c["name"], c["suite"]) for c in report["checks"]] == [
+        (c.name, c.suite) for c in checks.CHECKS]
+
+
+def stripped_report(config):
+    report, code = cli.run_verify(config)
+    for row in report["checks"]:
+        row.pop("runtime_ms")
+    return report, code
+
+
+def test_integral_floats_give_the_integer_report(tmp_path):
+    cfg = cli.default_config()
+    cfg["seed"] = 3
+    cfg["torus"]["grid"] = 13
+    want = stripped_report(cfg)
+    floats = json.loads(json.dumps(cfg))
+    floats["model"]["n"] = 1.0
+    floats["fock"]["N"] = 5.0
+    floats["torus"] = {"M": 4.0, "grid": 13.0}
+    floats["seed"] = 3.0
+    floats["quad_order"] = 60.0
+    for mode in (floats["connection"]["gamma_modes"]
+                 + floats["connection"]["a_modes"]):
+        mode["direction"] = float(mode["direction"])
+        mode["k"] = [float(k) for k in mode["k"]]
+    assert stripped_report(floats) == want
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(floats))
+    assert cli.main(["verify", "--config", str(path),
+                     "--out", str(tmp_path / "r.json")]) == want[1]
+
+
+def test_unknown_tolerance_names_are_refused(tmp_path, capsys):
+    cfg = cli.default_config()
+    cfg["suites"] = ["cz"]
+    cfg["tolerances"] = {"cz-rountrip": 1e-30}
+    with pytest.raises(cli.ConfigError, match="cz-rountrip"):
+        cli.run_verify(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert "cz-rountrip" in capsys.readouterr().err
+    # a check of a suite this run does not select may still be named
+    cfg["tolerances"] = {"weitzenbock-identity": 1e-3}
+    assert cli.run_verify(cfg)[1] == 0

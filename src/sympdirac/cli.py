@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -250,8 +251,24 @@ def run_spectrum(config: dict, degrees) -> list[tuple[int, int, float, float]]:
     return rows
 
 
+def _json_safe(obj):
+    """obj with each NaN or infinite float as None, which JSON writes null.
+
+    RFC 8259 has no NaN or Infinity, and a failing trial's residual can be
+    either; the in-memory report keeps the floats.
+    """
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_json_safe(value) for value in obj]
+    return obj
+
+
 def _write_report(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(_json_safe(report), indent=2, sort_keys=True,
+                      allow_nan=False)
     if path:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text + "\n")

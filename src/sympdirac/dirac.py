@@ -87,20 +87,48 @@ def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:
 
 # ---------------------------------------------------------------------------
 # kernels on raw values
+#
+# A constant fiber matrix acts on a whole grid as one matmul, and each
+# operator computes the first covariant derivatives of its input once,
+# sharing them between every term that needs them.
+
+
+def _apply(S: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The constant fiber matrix S at every point of grid + (F,) values."""
+    F = vals.shape[-1]
+    return (vals.reshape(-1, F) @ S.T).reshape(vals.shape)
+
+
+def _derivs(ctx: DiracContext, vals: np.ndarray):
+    """nabla_0 vals, ..., nabla_{2n-1} vals, computed one at a time."""
+    for b in range(ctx.torus.dim):
+        yield ge.cov_deriv_values(ctx.torus, ctx.lie_mats, vals, b)
+
+
+def _first_order(ctx: DiracContext, grads, *names: str) -> list:
+    """sum_k contract[name][k] nabla_k psi for each name.
+
+    grads holds or yields nabla_0 psi, ..., nabla_{2n-1} psi; each
+    derivative serves every name as it arrives, so a generator of them
+    never holds more than one.
+    """
+    outs = []
+    for k, grad in enumerate(grads):
+        for i, name in enumerate(names):
+            if k == 0:
+                outs.append(_apply(ctx.contract[name][k], grad))
+            else:
+                outs[i] += _apply(ctx.contract[name][k], grad)
+    return outs
 
 
 def _dirac_vals(ctx: DiracContext, vals: np.ndarray, name: str) -> np.ndarray:
-    stack = ctx.contract[name]
-    out = np.zeros(vals.shape, dtype=complex)
-    for k in range(ctx.torus.dim):
-        out += np.einsum("FG,...G->...F", stack[k],
-                         ge.cov_deriv_values(ctx.torus, ctx.lie_mats, vals, k))
-    return out
+    return _first_order(ctx, _derivs(ctx, vals), name)[0]
 
 
-def _p_vals(ctx: DiracContext, vals: np.ndarray) -> np.ndarray:
-    ds = _dirac_vals(ctx, vals, "Ds")
-    dp = _dirac_vals(ctx, vals, "Dp")
+def _p_vals(ctx: DiracContext, grads) -> np.ndarray:
+    """2[D', D''] psi from the first covariant derivatives of psi."""
+    ds, dp = _first_order(ctx, grads, "Ds", "Dp")
     return 2.0 * (_dirac_vals(ctx, ds, "Dp") - _dirac_vals(ctx, dp, "Ds"))
 
 
@@ -127,7 +155,11 @@ def _wrap(ctx: DiracContext, vals: np.ndarray) -> SpinorField:
 def _along(stack: np.ndarray, X) -> np.ndarray:
     """sum_b X^b stack[b] for a (2n,) + grid + (F,) stack and a vector (field)
     X; on the stack of nabla_full this is nabla_X psi."""
-    return np.einsum("...b,b...F->...F", X, stack)
+    X = np.asarray(X)
+    out = X[..., 0, None] * stack[0]
+    for b in range(1, len(stack)):
+        out += X[..., b, None] * stack[b]
+    return out
 
 
 def nabla(ctx: DiracContext, psi: SpinorField, b: int) -> SpinorField:
@@ -158,7 +190,7 @@ def dirac_Dsecond(ctx: DiracContext, psi: SpinorField) -> SpinorField:
 
 def P_op(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """P = 2[D', D'']; degree-preserving and second order."""
-    return _wrap(ctx, _p_vals(ctx, _values(ctx, psi)))
+    return _wrap(ctx, _p_vals(ctx, _derivs(ctx, _values(ctx, psi))))
 
 
 def dirac_via_frame(ctx: DiracContext, psi: SpinorField, frame: np.ndarray,
@@ -205,7 +237,11 @@ def oneform_inner(ctx: DiracContext, beta1: np.ndarray,
 
 def nabla_full(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
     """All covariant derivatives, shape (2n,) + grid + (F,)."""
-    return np.stack([nabla(ctx, psi, b).values for b in range(ctx.torus.dim)])
+    vals = _values(ctx, psi)
+    out = np.empty((ctx.torus.dim,) + vals.shape, dtype=complex)
+    for b, grad in enumerate(_derivs(ctx, vals)):
+        out[b] = grad
+    return out
 
 
 def aj_tau(ctx: DiracContext, psi: SpinorField) -> SpinorField:
@@ -231,9 +267,9 @@ def nabla_star(ctx: DiracContext, beta: np.ndarray) -> SpinorField:
     coordinate frame.  Adjoint to nabla_full for unitary connections.
     """
     Gamma = ctx.conn.Gamma
-    out = _along(beta, ctx.jtau).astype(complex)
+    out = _along(beta, ctx.jtau).astype(complex, copy=False)
     for aa, bb in zip(*np.nonzero(ctx.ginv)):
-        term = nabla(ctx, _wrap(ctx, beta[bb]), aa).values
+        term = ge.cov_deriv_values(ctx.torus, ctx.lie_mats, beta[bb], aa)
         term -= _along(beta, Gamma[aa][..., :, bb])
         out -= ctx.ginv[aa, bb] * term
     return _wrap(ctx, out)
@@ -271,6 +307,21 @@ def _curvature_prefactors(ctx: DiracContext, form: str) -> np.ndarray:
     return coeff * np.einsum("plFH,psHG->lsFG", left, right)
 
 
+def _curvature_vals(ctx: DiracContext, grads: np.ndarray,
+                    form: str) -> np.ndarray:
+    M = _curvature_prefactors(ctx, form)
+    T = ge.torsion_tensor(ctx.conn)
+    out = np.zeros(grads.shape[1:], dtype=complex)
+    # R and T are antisymmetric in (l, s), so one pass over l < s with
+    # M[l, s] - M[s, l]; R(e_l, e_s) psi reuses the first derivatives
+    for l, s in combinations(range(ctx.torus.dim), 2):
+        common = (ge.cov_deriv_values(ctx.torus, ctx.lie_mats, grads[s], l)
+                  - ge.cov_deriv_values(ctx.torus, ctx.lie_mats, grads[l], s)
+                  - _along(grads, T[l, s]))
+        out += _apply(M[l, s] - M[s, l], common)
+    return out
+
+
 def curvature_term(ctx: DiracContext, psi: SpinorField,
                    form: str) -> SpinorField:
     """sum_{l,s} M[l, s] (R(e_l, e_s) - nabla_{T(e_l, e_s)}) psi.
@@ -278,18 +329,7 @@ def curvature_term(ctx: DiracContext, psi: SpinorField,
     The curvature-torsion part of the identity for [D', D''], with the
     prefactors M of form 'ca' or 'clcl'; both forms give the same term.
     """
-    M = _curvature_prefactors(ctx, form)
-    T = ge.torsion_tensor(ctx.conn)
-    grads = nabla_full(ctx, psi)
-    out = np.zeros(psi.values.shape, dtype=complex)
-    # R and T are antisymmetric in (l, s), so one pass over l < s with
-    # M[l, s] - M[s, l]; R(e_l, e_s) psi reuses the first derivatives
-    for l, s in combinations(range(ctx.torus.dim), 2):
-        common = (ge.cov_deriv_values(ctx.torus, ctx.lie_mats, grads[s], l)
-                  - ge.cov_deriv_values(ctx.torus, ctx.lie_mats, grads[l], s)
-                  - _along(grads, T[l, s]))
-        out += np.einsum("FG,...G->...F", M[l, s] - M[s, l], common)
-    return _wrap(ctx, out)
+    return _wrap(ctx, _curvature_vals(ctx, nabla_full(ctx, psi), form))
 
 
 def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
@@ -301,15 +341,17 @@ def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
                         (R(e_l, e_s) - nabla_{T(e_l, e_s)})
 
     assembled from the independently implemented Laplacian, curvature and
-    torsion; reliable for sections of degree <= max_degree - 2.
+    torsion, which share one nabla_full of psi; reliable for sections of
+    degree <= max_degree - 2.
     """
     if not ctx.conn.unitary:
         raise ValueError("the curvature identity requires a unitary connection")
     hbar = ctx.model.hbar
-    comm = 0.5 * _p_vals(ctx, _values(ctx, psi))
-    rhs = -(0.5 / hbar) * laplacian(ctx, psi).values
-    rhs = rhs + (0.5 / hbar) * nabla_dir(ctx, psi, ctx.jtau).values
-    rhs = rhs + curvature_term(ctx, psi, form).values
+    grads = nabla_full(ctx, psi)
+    comm = 0.5 * _p_vals(ctx, grads)
+    rhs = -(0.5 / hbar) * nabla_star(ctx, grads).values
+    rhs += (0.5 / hbar) * _along(grads, ctx.jtau)
+    rhs += _curvature_vals(ctx, grads, form)
     num = l2_norm(ctx, _wrap(ctx, comm - rhs))
     den = l2_norm(ctx, psi)
     return num / den if den > 0 else num

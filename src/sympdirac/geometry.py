@@ -101,7 +101,8 @@ def partial_derivative(torus: TorusModel, field: np.ndarray,
     shape = [1] * field.ndim
     shape[axis] = torus.grid_size
     spec = np.fft.fft(np.asarray(field, dtype=complex), axis=axis)
-    return np.fft.ifft(1j * k.reshape(shape) * spec, axis=axis)
+    spec *= 1j * k.reshape(shape)
+    return np.fft.ifft(spec, axis=axis)
 
 
 def mode_coefficients(torus: TorusModel, field: np.ndarray) -> np.ndarray:
@@ -510,10 +511,11 @@ def cov_deriv_values(torus: TorusModel, mats: np.ndarray, vals: np.ndarray,
     """nabla_b on raw spinor values: d_b vals + mats[b] vals.
 
     vals has shape grid + (F,); mats is a lie_matrix_field.  Every spinor
-    covariant derivative of the package goes through here.
+    covariant derivative of the package goes through here, so the fiber
+    action is a batched matmul, which runs faster than the same einsum.
     """
     out = partial_derivative(torus, vals, b)
-    out += np.einsum("...FG,...G->...F", mats[b], vals)
+    out += (mats[b] @ vals[..., None])[..., 0]
     return out
 
 
@@ -568,9 +570,12 @@ def spinor_pointwise_op(psi: SpinorField, X: np.ndarray,
     (the operators are real-linear in the vector argument).
     """
     X = np.asarray(X, dtype=complex)
+    shape = psi.values.shape
+    flat = psi.values.reshape(-1, shape[-1])
     if X.ndim == 1:
-        combined = np.einsum("b,bFG->FG", X, mats)
-        vals = np.einsum("FG,...G->...F", combined, psi.values)
+        vals = (flat @ np.tensordot(X, mats, 1).T).reshape(shape)
     else:
-        vals = np.einsum("...b,bFG,...G->...F", X, mats, psi.values)
+        vals = np.zeros(shape, dtype=complex)
+        for b in range(len(mats)):
+            vals += X[..., b, None] * (flat @ mats[b].T).reshape(shape)
     return SpinorField(torus=psi.torus, basis=psi.basis, values=vals)

@@ -136,8 +136,31 @@ def test_verify_nan_residual_fails(tmp_path):
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     for name in ("heisenberg-unitarity", "heisenberg-group-law"):
-        assert np.isnan(checks[name]["max_residual"])
+        assert checks[name]["max_residual"] is None
         assert checks[name]["pass"] is False
+
+
+def test_verify_report_is_strict_json(tmp_path):
+    # RFC 8259 has no NaN token: the NaN residuals at hbar = 1e-4 are
+    # written as null, while run_verify keeps them as floats
+    cfg = cli.default_config()
+    cfg["model"]["hbar"] = 1e-4
+    cfg["suites"] = ["fock"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "report.json"
+    with np.errstate(all="ignore"):
+        cli.main(["verify", "--config", str(path), "--out", str(out)])
+        report, _ = cli.run_verify(cfg)
+
+    def refuse(token):
+        raise ValueError(f"{token} is not RFC 8259 JSON")
+
+    written = json.loads(out.read_text(), parse_constant=refuse)
+    nulls = [c["name"] for c in written["checks"] if c["max_residual"] is None]
+    nans = [c["name"] for c in report["checks"]
+            if np.isnan(c["max_residual"])]
+    assert nulls and nulls == nans
 
 
 @pytest.mark.parametrize("hbar", [1e-4, 10.0])

@@ -1,5 +1,6 @@
 """Tests for the symplectic Dirac operators, adjoints and spectra."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -482,3 +483,127 @@ def test_identities_with_non_abelian_torsionful_connection():
     assert np.abs(ca).max() > 1e-2
     gap = dr.l2_norm(ctx, ge.spinor_field(ctx.torus, ctx.basis, ca - clcl))
     assert gap < 1e-11 * dr.l2_norm(ctx, psi)
+
+
+# ---------------------------------------------------------------------------
+# the matmul kernels and the shared first derivatives
+
+
+def _ref_nabla(ctx, vals, b):
+    return (ge.partial_derivative(ctx.torus, vals, b)
+            + np.einsum("...FG,...G->...F", ctx.lie_mats[b], vals))
+
+
+def _ref_first_order(ctx, vals, name):
+    S = ctx.contract[name]
+    return sum(np.einsum("FG,...G->...F", S[k], _ref_nabla(ctx, vals, k))
+               for k in range(ctx.torus.dim))
+
+
+def _ref_along(ctx, vals, X):
+    return sum(X[..., b, None] * _ref_nabla(ctx, vals, b)
+               for b in range(ctx.torus.dim))
+
+
+def _ref_laplacian(ctx, vals):
+    # -g^{ab} (nabla_a nabla_b - nabla_{Gamma_a e_b}) + nabla_{J tau}
+    out = _ref_along(ctx, vals, ctx.jtau)
+    for a, b in product(range(ctx.torus.dim), repeat=2):
+        second = _ref_nabla(ctx, _ref_nabla(ctx, vals, b), a)
+        second -= _ref_along(ctx, vals, ctx.conn.Gamma[a][..., :, b])
+        out = out - ctx.ginv[a, b] * second
+    return out
+
+
+def _ref_curvature(ctx, psi, form):
+    # sum over all (l, s) of M[l, s] (R(e_l, e_s) - nabla_{T(e_l, e_s)})
+    c = ctx.contract
+    if form == "ca":
+        C, A = c["Dp"], -c["Ds"]
+        M = -0.5 * (np.einsum("lFH,sHG->lsFG", C, A)
+                    - np.einsum("lFH,sHG->lsFG", A, C))
+    else:
+        M = -0.5j * np.einsum("lFH,sHG->lsFG", c["D"], c["Dt"])
+    T = ge.torsion_tensor(ctx.conn)
+    out = 0.0
+    for l, s in product(range(ctx.torus.dim), repeat=2):
+        R = ge.spinor_curvature(ctx.conn, psi, l, s, ctx.lie_mats).values
+        term = R - _ref_along(ctx, psi.values, T[l, s])
+        out = out + np.einsum("FG,...G->...F", M[l, s], term)
+    return out
+
+
+def _rel_gap(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n, cutoff, kind", [(1, 4, "unitary"),
+                                             (2, 1, "unitary"),
+                                             (1, 4, "non-unitary"),
+                                             (2, 1, "non-unitary")])
+def test_operators_match_einsum_reference(n, cutoff, kind):
+    ctx, rng = make_setup(n=n, cutoff=cutoff, max_degree=4, kind=kind)
+    psi = random_psi(ctx, rng, cutoff=1)
+    v = psi.values
+    ds, dp = (_ref_first_order(ctx, v, name) for name in ("Ds", "Dp"))
+    ref_p = 2.0 * (_ref_first_order(ctx, ds, "Dp")
+                   - _ref_first_order(ctx, dp, "Ds"))
+    assert _rel_gap(dr.P_op(ctx, psi).values, ref_p) < 1e-12
+    assert _rel_gap(dr.dirac_D(ctx, psi).values,
+                    _ref_first_order(ctx, v, "D")) < 1e-12
+    ref_aj = np.einsum("...b,bFG,...G->...F", -ctx.tau, ctx.fiber["Ds"], v)
+    assert _rel_gap(dr.aj_tau(ctx, psi).values, ref_aj) < 1e-12
+    if kind != "unitary":
+        return
+    assert np.abs(ctx.tau).max() > 1e-3
+    assert _rel_gap(dr.laplacian(ctx, psi).values,
+                    _ref_laplacian(ctx, v)) < 1e-12
+    for form in ("ca", "clcl"):
+        assert _rel_gap(dr.curvature_term(ctx, psi, form).values,
+                        _ref_curvature(ctx, psi, form)) < 1e-12
+    X = rng.normal(size=ctx.torus.dim)
+    ref_cl = np.einsum("b,bFG,...G->...F", X, ctx.fiber["D"], v)
+    assert _rel_gap(ge.spinor_pointwise_op(psi, X, ctx.fiber["D"]).values,
+                    ref_cl) < 1e-12
+    for field in (X, ctx.jtau):
+        assert _rel_gap(dr.nabla_dir(ctx, psi, field).values,
+                        _ref_along(ctx, v, field)) < 1e-12
+
+
+def test_operators_share_the_first_derivatives(monkeypatch):
+    # n = 2 has four directions; P builds nabla psi once for both D'' psi
+    # and D' psi (4 + 2 * 4), and the Weitzenboeck residual adds to that
+    # the Laplacian (4) and the curvature term (2 per pair l < s, 12),
+    # taking nabla_{J tau} psi from the same stack
+    ctx, rng = make_setup(n=2, cutoff=2, max_degree=4)
+    psi = random_psi(ctx, rng, cutoff=1, max_degree=2)
+    calls = []
+    derivative = ge.partial_derivative
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return derivative(*args, **kwargs)
+
+    monkeypatch.setattr(ge, "partial_derivative", counting)
+    dr.P_op(ctx, psi)
+    assert len(calls) == 12
+    calls.clear()
+    dr.weitzenbock_residual(ctx, psi)
+    assert len(calls) == 28
+
+
+def test_weitzenbock_residual_streams_its_intermediates():
+    # the benchmark's fields size: one grid + (F,) field is 0.55 MiB and
+    # nabla_full is four of them; stacking every intermediate would pass
+    # the 9 MiB bound (7.8 MiB measured at the einsum kernels)
+    ctx, rng = make_setup(n=2, cutoff=2, max_degree=4)
+    assert ctx.torus.grid_shape == (7,) * 4 and ctx.basis.dim == 15
+    psi = random_psi(ctx, rng, cutoff=1, max_degree=2)
+    dr.weitzenbock_residual(ctx, psi)
+    tracemalloc.start()
+    try:
+        dr.weitzenbock_residual(ctx, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2 ** 20

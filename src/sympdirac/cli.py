@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -149,12 +150,20 @@ def emit_schema() -> str:
     return json.dumps(CONFIG_SCHEMA, indent=2, sort_keys=True)
 
 
+@functools.cache
+def _validator():
+    """The config validator, its schema checked once per process."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 def build_setup(config: dict) -> checks.RunSetup:
     """Validated setup; integer fields are cast, as the schema admits 1.0."""
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected by schema: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"config rejected by schema: {error.message}") \
+            from error
     tolerances = dict(config.get("tolerances", {}))
     unknown = sorted(set(tolerances) - {c.name for c in checks.CHECKS})
     if unknown:
@@ -301,10 +310,16 @@ def _load_config(path: str | None) -> dict:
 
 
 def _parse_degrees(text: str) -> list[int]:
+    """The distinct degrees of a comma-separated list, in the given order."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        degrees = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --degrees value {text!r}") from exc
+    if not degrees:
+        raise ConfigError("--degrees names no degree")
+    if len(set(degrees)) != len(degrees):
+        raise ConfigError(f"--degrees repeats a degree: {text!r}")
+    return degrees
 
 
 def main(argv=None) -> int:

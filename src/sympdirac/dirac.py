@@ -23,6 +23,7 @@ frame entry point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import combinations, product
 
 import numpy as np
@@ -56,6 +57,23 @@ class DiracContext:
     @property
     def model(self) -> SymplecticModel:
         return self.conn.torus.model
+
+    @cached_property
+    def lie_hat(self) -> np.ndarray:
+        """Fourier coefficients of lie_mats, grid + (2n, F, F).
+
+        Built on first use, so one transform serves every spectrum and
+        symbol_check on this context.  Only the fiber entries that are
+        non-zero at some point and direction are transformed; the others
+        are exact zeros of every coefficient.
+        """
+        mats, torus = self.lie_mats, self.torus
+        F = mats.shape[-1]
+        rows, cols = np.nonzero((mats != 0).reshape(-1, F, F).any(axis=0))
+        out = np.zeros(torus.grid_shape + (torus.dim, F, F), dtype=complex)
+        out[..., rows, cols] = ge.mode_coefficients(
+            torus, np.moveaxis(mats[..., rows, cols], 0, -2))
+        return out
 
 
 def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:
@@ -361,15 +379,14 @@ def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
 # principal symbol and spectra
 
 
-def _mode_coupling(ctx: DiracContext, lhat: np.ndarray, name: str,
-                   rows: np.ndarray, dst: np.ndarray, cols: np.ndarray,
+def _mode_coupling(ctx: DiracContext, name: str, rows: np.ndarray,
+                   dst: np.ndarray, cols: np.ndarray,
                    src: np.ndarray) -> np.ndarray:
     """Fourier matrix of sum_b S_b nabla_b, S = ctx.contract[name].
 
     Maps (modes cols) x (fiber src) to (modes rows) x (fiber dst), mode
     major and fiber minor on both sides; modes are grid index tuples in FFT
-    order and lhat holds the Fourier coefficients of ctx.lie_mats, grid +
-    (2n, F, F).  The entry is
+    order and lhat = ctx.lie_hat.  The entry is
 
         sum_b S_b[dst] (lhat_b((r - c) mod G)[:, src] + i k_{c,b} delta_rc),
 
@@ -379,7 +396,7 @@ def _mode_coupling(ctx: DiracContext, lhat: np.ndarray, name: str,
     G, d = torus.grid_size, torus.dim
     S = ctx.contract[name][:, dst]
     # sum_b S_b lhat_b(m) at every mode m, then gathered at r - c
-    conv = np.einsum("bDF,...bFG->...DG", S, lhat[..., src])
+    conv = np.einsum("bDF,...bFG->...DG", S, ctx.lie_hat[..., src])
     conv = conv.reshape((G ** d,) + conv.shape[-2:])
     # flat grid index of (r - c) mod G for every row and column mode
     shift = sum((rows[:, None, a] - cols[None, :, a]) % G * G ** (d - 1 - a)
@@ -402,12 +419,8 @@ def _p_block(ctx: DiracContext, modes: np.ndarray, fiber: np.ndarray,
     (after D'') or hi (after D'), so the product is the grid operator's.
     """
     torus = ctx.torus
-    lhat = ge.mode_coefficients(torus, np.moveaxis(ctx.lie_mats, 0, -3))
     grid = np.indices(torus.grid_shape).reshape(torus.dim, -1).T
-
-    def op(name, rows, dst, cols, src):
-        return _mode_coupling(ctx, lhat, name, rows, dst, cols, src)
-
+    op = partial(_mode_coupling, ctx)
     dp_ds = op("Dp", modes, fiber, grid, lo) @ op("Ds", grid, lo, modes, fiber)
     ds_dp = op("Ds", modes, fiber, grid, hi) @ op("Dp", grid, hi, modes, fiber)
     return 2.0 * (dp_ds - ds_dp)
@@ -452,6 +465,8 @@ def spectrum(ctx: DiracContext, degree: int) -> np.ndarray:
     if not ctx.conn.unitary:
         raise ValueError("per-degree spectra need a unitary connection: P"
                          " couples degree d to d +/- 2 otherwise")
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
+        raise ValueError(f"degree must be an integer, not {degree!r}")
     basis = ctx.basis
     if not 0 <= degree <= basis.max_degree - 1:
         raise ValueError("degree must be at most max_degree - 1 "

@@ -169,17 +169,24 @@ def lie_action(model: SymplecticModel, basis: fk.FockBasis,
 
     Batched over leading axes: mu of shape S and xi of shape S + (2n, 2n)
     give S + (F, F).  The zeta terms are skipped when zeta vanishes, so a
-    j-linear xi gives exactly degree-preserving matrices.
+    j-linear xi gives exactly degree-preserving matrices.  Each transfer
+    tensor is contracted as one (points, n^2) x (n^2, F^2) gemm.
     """
     H = sl.complex_matrix(model, sl.linear_part(model, xi), check=False)
     W = sl.antilinear_matrix(model, sl.antilinear_part(model, xi), check=False)
     shift, raise2, lower2 = fk.transfer_tensors(basis.n, basis.max_degree)
-    out = np.einsum("...kl,klab->...ab", -H, shift)
-    diag = np.arange(basis.dim)
+    S, n, F = H.shape[:-2], basis.n, basis.dim
+
+    def contract(X, T):
+        return (X.reshape(S + (n * n,)) @ T.reshape(n * n, F * F)
+                ).reshape(S + (F, F))
+
+    out = contract(-H, shift)
+    diag = np.arange(F)
     out[..., diag, diag] += np.asarray(mu)[..., None]
     if np.abs(W).max() > 0:
-        out += np.einsum("...kl,klab->...ab", W.conj(), raise2) / (4.0 * model.hbar)
-        out -= model.hbar * np.einsum("...kl,klab->...ab", W, lower2)
+        out += contract(W.conj(), raise2) / (4.0 * model.hbar)
+        out -= model.hbar * contract(W, lower2)
     return out
 
 

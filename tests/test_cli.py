@@ -60,6 +60,43 @@ def test_schema_subcommand(capsys):
     jsonschema.Draft202012Validator.check_schema(json.loads(out))
 
 
+def test_build_setup_keeps_the_schema_messages():
+    jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+    negative = cli.default_config()
+    negative["model"]["hbar"] = -1
+    extra = cli.default_config()
+    extra["extra"] = 1
+    missing = cli.default_config()
+    del missing["torus"]
+    for cfg, message in [
+            (negative, "-1 is less than or equal to the minimum of 0"),
+            (extra, "Additional properties are not allowed"
+                    " ('extra' was unexpected)"),
+            (missing, "'torus' is a required property")]:
+        with pytest.raises(cli.ConfigError) as info:
+            cli.build_setup(cfg)
+        assert str(info.value) == f"config rejected by schema: {message}"
+
+
+def test_build_setup_checks_the_schema_once(monkeypatch):
+    calls = []
+    check = jsonschema.Draft202012Validator.check_schema
+
+    def counting(schema, *args, **kwargs):
+        calls.append(schema)
+        return check(schema, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
+                        counting)
+    cli._validator.cache_clear()
+    try:
+        cli.build_setup(cli.default_config())
+        cli.build_setup(flat_config())
+    finally:
+        cli._validator.cache_clear()
+    assert calls == [cli.CONFIG_SCHEMA]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -254,10 +291,11 @@ def test_spectrum_csv_and_identical_degree_columns(tmp_path):
     assert np.abs(a - b).max() < 1e-9
 
 
-def test_spectrum_empty_degree_list(capsys):
-    assert cli.main(["spectrum", "--degrees", ""]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out == ["degree,index,re,im"]
+def test_spectrum_refuses_empty_and_repeated_degrees(capsys):
+    for text in ("", " , ", "0,0", "1,0,1"):
+        assert cli.main(["spectrum", "--degrees", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--degrees" in captured.err
 
 
 def test_spectrum_rejects_out_of_range_degree(tmp_path, capsys):

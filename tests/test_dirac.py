@@ -358,6 +358,15 @@ def test_spectrum_refuses_non_unitary_connection():
         dr.spectrum(ctx, 0)
 
 
+def test_spectrum_rejects_non_integral_degree():
+    # no fiber monomial has degree 0.5, so the block would be empty
+    ctx, _ = make_setup(kind="flat", cutoff=1, max_degree=3)
+    for degree in (0.5, 1.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            dr.spectrum(ctx, degree)
+    assert np.array_equal(dr.spectrum(ctx, np.int64(1)), dr.spectrum(ctx, 1))
+
+
 def unitary_mode_connection(torus, rng, terms=2, scale=0.3):
     """Random unitary band-1 connection given by its trigonometric modes.
 
@@ -607,3 +616,37 @@ def test_weitzenbock_residual_streams_its_intermediates():
     finally:
         tracemalloc.stop()
     assert peak < 9 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# Fourier fiber data shared by the spectral assembly
+
+
+@pytest.mark.parametrize("n, cutoff, kind", [(1, 3, "unitary"),
+                                             (1, 3, "general"),
+                                             (2, 1, "unitary"),
+                                             (2, 1, "general")])
+def test_lie_hat_is_the_full_transform(n, cutoff, kind):
+    # only the structurally non-zero fiber entries are transformed; the
+    # rest must still equal the full transform exactly, not to round-off
+    ctx, _ = make_setup(n=n, cutoff=cutoff, max_degree=4, kind=kind)
+    if kind == "unitary":
+        assert np.abs(ge.torsion_tensor(ctx.conn)).max() > 1e-3
+    full = ge.mode_coefficients(ctx.torus, np.moveaxis(ctx.lie_mats, 0, -3))
+    assert np.array_equal(ctx.lie_hat, full)
+
+
+def test_spectra_and_symbol_share_one_transform(monkeypatch):
+    ctx, _ = make_setup(n=1, cutoff=2, max_degree=3)
+    calls = []
+    transform = ge.mode_coefficients
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return transform(*args, **kwargs)
+
+    monkeypatch.setattr(ge, "mode_coefficients", counting)
+    dr.spectrum(ctx, 0)
+    dr.spectrum(ctx, 1)
+    dr.symbol_check(ctx, [1, 0])
+    assert len(calls) == 1

@@ -309,6 +309,36 @@ def test_lie_action_is_group_derivative():
     assert 50 < r3 / r4 < 200
 
 
+def _ref_lie_action(model, basis, mu, xi):
+    """lie_action contracted index by index with einsum."""
+    H = sl.complex_matrix(model, sl.linear_part(model, xi), check=False)
+    W = sl.antilinear_matrix(model, sl.antilinear_part(model, xi), check=False)
+    shift, raise2, lower2 = fk.transfer_tensors(basis.n, basis.max_degree)
+    out = np.einsum("...kl,klab->...ab", -H, shift)
+    diag = np.arange(basis.dim)
+    out[..., diag, diag] += np.asarray(mu)[..., None]
+    out += np.einsum("...kl,klab->...ab", W.conj(), raise2) / (4.0 * model.hbar)
+    out -= model.hbar * np.einsum("...kl,klab->...ab", W, lower2)
+    return out
+
+
+def test_lie_action_matches_einsum_reference():
+    rng = np.random.default_rng(RNG_SEED + 12)
+    for m in models():
+        B = fk.fock_basis(m.n, 4)
+        xi = np.stack([sl.random_sp_algebra(m, rng) for _ in range(6)])
+        xi = xi.reshape((2, 3) + xi.shape[1:])
+        # every element has a j-antilinear part, so all three tensors act
+        assert (np.abs(sl.antilinear_part(m, xi)).max(axis=(-2, -1))
+                > 0.1).all()
+        batched_mu = 1j * rng.normal(size=(2, 3))
+        for mu in (0.3j, batched_mu):
+            got = mpc.lie_action(m, B, mu, xi)
+            ref = _ref_lie_action(m, B, mu, xi)
+            assert got.shape == (2, 3, B.dim, B.dim)
+            assert np.abs(got - ref).max() < 1e-14 * np.abs(ref).max()
+
+
 # ---------------------------------------------------------------------------
 # Gaussian Berezin kernels
 

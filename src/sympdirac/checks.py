@@ -142,9 +142,9 @@ def _check_adjoint_pair(setup, rng):
         yield np.abs(fk.adjoint_matrix(m, B, C) - A).max()
 
 
-def _random_combo(m, rng, k=3):
-    return fk.coherent_combo(rng.normal(size=k) + 1j * rng.normal(size=k),
-                             rng.uniform(-1.2, 1.2, size=(k, 2 * m.n)))
+def _random_combo(m, rng):
+    return fk.coherent_combo(rng.normal(size=3) + 1j * rng.normal(size=3),
+                             rng.uniform(-1.2, 1.2, size=(3, 2 * m.n)))
 
 
 def _check_heisenberg_unitarity(setup, rng):
@@ -310,7 +310,11 @@ def _check_first_order_adjoint(setup, rng):
     for _ in range(5):
         psi = ge.random_spinor_field(setup.torus, setup.basis, rng, cutoff=2)
         phi = ge.random_spinor_field(setup.torus, setup.basis, rng, cutoff=2)
-        yield dr.adjoint_residual(ctx, psi, phi)
+        # relative to the Cauchy-Schwarz bound on |<D' psi, phi>|; the fiber
+        # weights, and with them the absolute gap, grow as (2 hbar)^degree
+        bound = (dr.l2_norm(ctx, dr.dirac_Dprime(ctx, psi))
+                 * dr.l2_norm(ctx, phi))
+        yield dr.adjoint_residual(ctx, psi, phi) / bound
 
 
 def _check_weitzenbock(setup, rng):

@@ -180,11 +180,6 @@ def _along(stack: np.ndarray, X) -> np.ndarray:
     return out
 
 
-def nabla(ctx: DiracContext, psi: SpinorField, b: int) -> SpinorField:
-    return _wrap(ctx, ge.cov_deriv_values(ctx.torus, ctx.lie_mats,
-                                          _values(ctx, psi), b))
-
-
 def nabla_dir(ctx: DiracContext, psi: SpinorField, X: np.ndarray) -> SpinorField:
     """nabla_X psi for a constant vector or vector field X."""
     return _wrap(ctx, _along(nabla_full(ctx, psi), X))

@@ -22,6 +22,7 @@ action preserves polynomial degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -172,9 +173,8 @@ def random_scalar_field(torus: TorusModel, rng: np.random.Generator,
 
 
 def random_vector_field(torus: TorusModel, rng: np.random.Generator,
-                        cutoff: int | None = None,
-                        scale: float = 1.0) -> np.ndarray:
-    comps = [random_scalar_field(torus, rng, cutoff, scale)
+                        cutoff: int | None = None) -> np.ndarray:
+    comps = [random_scalar_field(torus, rng, cutoff)
              for _ in range(torus.dim)]
     return np.stack(comps, axis=-1)
 
@@ -252,26 +252,27 @@ def connection_from_modes(torus: TorusModel, gamma_modes, a_modes) -> Connection
 
 
 def random_connection(torus: TorusModel, rng: np.random.Generator,
-                      cutoff: int = 1, scale: float = 0.3,
-                      unitary: bool = True, with_a: bool = True,
-                      terms: int = 2) -> Connection:
-    """Random band-limited connection; unitary draws u(n)-valued matrices."""
+                      cutoff: int = 1, unitary: bool = True) -> Connection:
+    """Random band-limited connection, drawn direction by direction.
+
+    Gamma_b is 0.3 (f_1 xi_1 + f_2 xi_2) with f_i random real scalar fields
+    of the given cutoff and xi_i Gaussian matrices in u(n) (unitary) or in
+    sp(2n, R); then a_b is 0.3 i g for one more such scalar field g.
+    """
     m = torus.model
     d = torus.dim
     Gamma = np.zeros((d,) + torus.grid_shape + (d, d))
     a = np.zeros((d,) + torus.grid_shape, dtype=complex)
     for b in range(d):
-        for _ in range(terms):
+        for _ in range(2):
             if unitary:
                 K = rng.normal(size=(m.n, m.n)) + 1j * rng.normal(size=(m.n, m.n))
                 xi = sl.real_matrix(m, 0.5 * (K - K.conj().T))
             else:
                 xi = sl.random_sp_algebra(m, rng)
-            Gamma[b] += scale * random_scalar_field(
+            Gamma[b] += 0.3 * random_scalar_field(
                 torus, rng, cutoff)[..., None, None] * xi
-        if with_a:
-            a[b] = scale * random_scalar_field(torus, rng, cutoff,
-                                               imaginary=True)
+        a[b] = 0.3 * random_scalar_field(torus, rng, cutoff, imaginary=True)
     return make_connection(torus, Gamma, a)
 
 
@@ -423,10 +424,10 @@ def central_curvature(conn: Connection) -> np.ndarray:
     d = torus.dim
     alpha0 = central_potential(conn)
     F = np.zeros((d, d) + torus.grid_shape, dtype=complex)
-    for aa in range(d):
-        for bb in range(d):
-            F[aa, bb] = partial_derivative(torus, alpha0[bb], aa) \
-                - partial_derivative(torus, alpha0[aa], bb)
+    for aa, bb in combinations(range(d), 2):
+        F[aa, bb] = partial_derivative(torus, alpha0[bb], aa) \
+            - partial_derivative(torus, alpha0[aa], bb)
+        F[bb, aa] = -F[aa, bb]
     return (-1j * F).real
 
 
@@ -447,10 +448,11 @@ def eta_curvature(conn: Connection) -> np.ndarray:
     def cov(b, s):
         return partial_derivative(torus, s, b) + c[b] * s
 
+    first = [cov(b, ones) for b in range(d)]
     F = np.zeros((d, d) + torus.grid_shape, dtype=complex)
-    for aa in range(d):
-        for bb in range(d):
-            F[aa, bb] = cov(aa, cov(bb, ones)) - cov(bb, cov(aa, ones))
+    for aa, bb in combinations(range(d), 2):
+        F[aa, bb] = cov(aa, first[bb]) - cov(bb, first[aa])
+        F[bb, aa] = -F[aa, bb]
     return F
 
 
@@ -572,10 +574,7 @@ def spinor_pointwise_op(psi: SpinorField, X: np.ndarray,
     X = np.asarray(X, dtype=complex)
     shape = psi.values.shape
     flat = psi.values.reshape(-1, shape[-1])
-    if X.ndim == 1:
-        vals = (flat @ np.tensordot(X, mats, 1).T).reshape(shape)
-    else:
-        vals = np.zeros(shape, dtype=complex)
-        for b in range(len(mats)):
-            vals += X[..., b, None] * (flat @ mats[b].T).reshape(shape)
+    vals = np.zeros(shape, dtype=complex)
+    for b in range(len(mats)):
+        vals += X[..., b, None] * (flat @ mats[b].T).reshape(shape)
     return SpinorField(torus=psi.torus, basis=psi.basis, values=vals)

@@ -39,13 +39,11 @@ class MpcElement:
     lam: complex
 
 
-def mpc_element(model: SymplecticModel, pair: CZPair, lam: complex,
-                check: bool = True) -> MpcElement:
+def mpc_element(model: SymplecticModel, pair: CZPair, lam: complex) -> MpcElement:
     lam = complex(lam)
-    if check:
-        det = np.linalg.det(sl.complex_matrix(model, pair.C))
-        if abs(abs(lam * lam * det) - 1.0) > ATOL_INVARIANT:
-            raise ValueError("|lam^2 det C| != 1")
+    det = np.linalg.det(sl.complex_matrix(model, pair.C))
+    if abs(abs(lam * lam * det) - 1.0) > ATOL_INVARIANT:
+        raise ValueError("|lam^2 det C| != 1")
     return MpcElement(pair=pair, lam=lam)
 
 
@@ -69,8 +67,8 @@ def eta(model: SymplecticModel, u: MpcElement) -> complex:
     return u.lam**2 * complex(np.linalg.det(sl.complex_matrix(model, u.pair.C)))
 
 
-def is_metaplectic(model: SymplecticModel, u: MpcElement, tol: float = 1e-10) -> bool:
-    return abs(eta(model, u) - 1.0) <= tol
+def is_metaplectic(model: SymplecticModel, u: MpcElement) -> bool:
+    return abs(eta(model, u) - 1.0) <= ATOL_INVARIANT
 
 
 def random_mpc(model: SymplecticModel, rng: np.random.Generator,
@@ -109,15 +107,15 @@ def mpc_inverse(model: SymplecticModel, u: MpcElement) -> MpcElement:
 # Exact action of the unitary part on truncated fibers
 
 
-def muc_matrix(model: SymplecticModel, basis: fk.FockBasis, u: MpcElement,
-               tol: float = 1e-10) -> fk.FockOperator:
+def muc_matrix(model: SymplecticModel, basis: fk.FockBasis,
+               u: MpcElement) -> fk.FockOperator:
     """Matrix of f -> lam f(k^{-1} z) for elements over the unitary group.
 
     Degree preserving and exactly unitary for the weighted inner product, so
     general truncation error never enters: this is the arm of the group that
     acts on finite fibers without approximation.
     """
-    if np.abs(u.pair.Z).max() > tol:
+    if np.abs(u.pair.Z).max() > ATOL_INVARIANT:
         raise ValueError("element does not lie over the unitary group (Z != 0)")
     Kinv = np.linalg.inv(sl.complex_matrix(model, u.pair.C))
     R, _ = fk.ladder_ops(basis.n, basis.max_degree)
@@ -152,13 +150,12 @@ class MpcLieElement:
     xi: np.ndarray
 
 
-def mpc_lie_element(model: SymplecticModel, mu: complex, xi: np.ndarray,
-                    check: bool = True) -> MpcLieElement:
-    if check:
-        if abs(complex(mu).real) > 1e-12:
-            raise ValueError("central component must be imaginary")
-        if sl.sp_algebra_residual(model, xi) > 1e-10:
-            raise ValueError("xi is not in sp(2n, R)")
+def mpc_lie_element(model: SymplecticModel, mu: complex,
+                    xi: np.ndarray) -> MpcLieElement:
+    if abs(complex(mu).real) > 1e-12:
+        raise ValueError("central component must be imaginary")
+    if sl.sp_algebra_residual(model, xi) > 1e-10:
+        raise ValueError("xi is not in sp(2n, R)")
     return MpcLieElement(mu=complex(mu), xi=np.asarray(xi, dtype=float))
 
 
@@ -237,28 +234,27 @@ def lie_kernel_eval(model: SymplecticModel, x: MpcLieElement, z: np.ndarray,
     return bracket * np.exp(np.einsum("...k,...k->...", zc, wc) / (2.0 * model.hbar))
 
 
-def lie_group_kernel_residual(model: SymplecticModel, x: MpcLieElement, t: float,
-                              n_samples: int = 10,
-                              rng: np.random.Generator | None = None) -> float:
+def lie_group_kernel_residual(model: SymplecticModel, x: MpcLieElement,
+                              t: float) -> float:
     """Central-difference check that the Lie action is the group derivative.
 
     Runs the one-parameter path g_s = exp(s xi) with the phase-compatible
     scalar lam_s = e^{s mu} |det C_{g_s}|^{-1/2}, differentiates the Gaussian
     kernel at s = 0 numerically with step t, and compares to lie_kernel_eval
-    at random sample points.  The residual decays at O(t^2).
+    at 10 sample points drawn from default_rng(0).  The residual decays at
+    O(t^2).
     """
     from scipy.linalg import expm
 
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
 
     def element(s: float) -> MpcElement:
         pair = sl.cz_decompose(model, expm(s * x.xi))
         det = np.linalg.det(sl.complex_matrix(model, pair.C))
         return mpc_element(model, pair, np.exp(s * x.mu) / np.sqrt(abs(det)))
 
-    z = rng.uniform(-1, 1, size=(n_samples, 2 * model.n))
-    w = rng.uniform(-1, 1, size=(n_samples, 2 * model.n))
+    z = rng.uniform(-1, 1, size=(10, 2 * model.n))
+    w = rng.uniform(-1, 1, size=(10, 2 * model.n))
     kp = kernel_eval(model, mpc_kernel(model, element(t)), z, w)
     km = kernel_eval(model, mpc_kernel(model, element(-t)), z, w)
     fd = (kp - km) / (2.0 * t)
@@ -279,7 +275,6 @@ class GaussianKernel:
     A: np.ndarray
     B: np.ndarray
     Cq: np.ndarray
-    hbar: float
 
 
 def mpc_kernel(model: SymplecticModel, u: MpcElement) -> GaussianKernel:
@@ -289,7 +284,6 @@ def mpc_kernel(model: SymplecticModel, u: MpcElement) -> GaussianKernel:
         A=np.linalg.inv(K),
         B=sl.antilinear_matrix(model, sl.inverse_z(u.pair), check=False),
         Cq=sl.antilinear_matrix(model, u.pair.Z, check=False),
-        hbar=model.hbar,
     )
 
 
@@ -301,7 +295,7 @@ def kernel_eval(model: SymplecticModel, K: GaussianKernel, z: np.ndarray,
     quad = 2.0 * np.einsum("...k,kl,...l->...", wc, K.A, zc)
     quad -= np.einsum("...k,kl,...l->...", zc, K.B.conj(), zc)
     quad -= np.einsum("...k,kl,...l->...", wc, K.Cq, wc)
-    return K.lam * np.exp(quad / (4.0 * K.hbar))
+    return K.lam * np.exp(quad / (4.0 * model.hbar))
 
 
 def gaussian_kernel_fn(model: SymplecticModel, K: GaussianKernel):
@@ -354,26 +348,23 @@ def _hermite_rule(order: int, scale: float):
     return nodes, (wt[:, None] * wt[None, :]).ravel() / np.pi
 
 
-def kernel_compose_numeric(model: SymplecticModel, K1, K2, quad_order: int = 60):
+def kernel_compose_numeric(model: SymplecticModel, K1: GaussianKernel,
+                           K2: GaussianKernel, quad_order: int = 60):
     """Numerical Berezin composition (K1 o K2)(z, w) for n = 1.
 
     (K1 o K2)(z, w) = h^{-1} int K1(z, u) K2(u, w) exp(-|u|^2/2hbar) du,
     evaluated with a tensor Gauss-Hermite rule after u = sqrt(2hbar) (s, t).
-    K1, K2 are callables over batched real points; returns another one.
+    K1, K2 are Gaussian kernels; returns a callable over batched real points.
     """
     if model.n != 1:
         raise ValueError("numerical kernel composition implemented for n = 1 only")
-    if isinstance(K1, GaussianKernel):
-        K1 = gaussian_kernel_fn(model, K1)
-    if isinstance(K2, GaussianKernel):
-        K2 = gaussian_kernel_fn(model, K2)
     nodes, weights = _hermite_rule(quad_order, np.sqrt(2.0 * model.hbar))
 
     def composed(z, w):
         z = np.asarray(z, dtype=float)
         w = np.asarray(w, dtype=float)
-        left = K1(z[..., None, :], nodes)
-        right = K2(nodes, w[..., None, :])
+        left = kernel_eval(model, K1, z[..., None, :], nodes)
+        right = kernel_eval(model, K2, nodes, w[..., None, :])
         return np.sum(weights * left * right, axis=-1)
 
     return composed
@@ -405,13 +396,14 @@ def gaussian_integral_check(model: SymplecticModel, W1: complex, W2: complex,
 
 
 def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergElement,
-                      n_samples: int = 10, quad_order: int = 40,
+                      quad_order: int = 40,
                       rng: np.random.Generator | None = None) -> float:
     """Max pointwise residual of U U_j(v, t) U^{-1} = U_j(gv, t) on kernels.
 
     Both compositions on the left are carried out by numerical quadrature
     (n = 1); the right side is the exact Heisenberg kernel at the transported
-    vector gv.  Sample points are drawn in the unit box.
+    vector gv.  10 sample points are drawn in the unit box, from
+    default_rng(0) when rng is None.
 
     The middle kernel on the quadrature grid is never formed.  Each node w_j
     goes through U_j once, giving coeffs_j and conj(c_j); at a tensor node
@@ -434,11 +426,11 @@ def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergEle
     Ex = np.exp(x * cc[:, 0] / (2.0 * model.hbar))
     Ey = np.exp(1j * y * cc[:, 0] / (2.0 * model.hbar))
     target = uj_kernel_fn(model, fk.heisenberg_element(g @ np.array(h.v), h.t))
-    z = rng.uniform(-1, 1, size=(n_samples, 2))
-    w = rng.uniform(-1, 1, size=(n_samples, 2))
-    left = (ku(z[:, None, :], nodes) * weights).reshape(n_samples, quad_order, quad_order)
+    z = rng.uniform(-1, 1, size=(10, 2))
+    w = rng.uniform(-1, 1, size=(10, 2))
+    left = (ku(z[:, None, :], nodes) * weights).reshape(-1, quad_order, quad_order)
     right = kinv(nodes, w[:, None, :]) * weights * coeffs
     inner = (left.transpose(0, 2, 1).reshape(-1, quad_order) @ Ex).reshape(
-        n_samples, quad_order, -1)
+        len(z), quad_order, -1)
     lhs = np.sum(np.einsum("sbj,bj->sj", inner, Ey) * right, axis=-1)
     return float(np.abs(lhs - target(z, w)).max())

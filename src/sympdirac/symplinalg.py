@@ -168,11 +168,11 @@ def random_sp_algebra(model: SymplecticModel, rng: np.random.Generator, scale: f
     return np.linalg.solve(model.Omega, S)
 
 
-def random_unitary_sp(model: SymplecticModel, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_unitary_sp(model: SymplecticModel, rng: np.random.Generator) -> np.ndarray:
     """Random element of U(n) inside Sp(2n, R), via a skew-Hermitean exponent."""
     n = model.n
     X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    A = scale * (X - X.conj().T) / 2.0
+    A = (X - X.conj().T) / 2.0
     return real_matrix(model, expm(A))
 
 
@@ -192,13 +192,14 @@ class CZPair:
     Z: np.ndarray
 
 
-def siegel_check(model: SymplecticModel, Z: np.ndarray, tol: float = ATOL_STRUCT):
+def siegel_check(model: SymplecticModel, Z: np.ndarray):
     """Membership test for the generalized unit disc.
 
     Checks (i) j-antilinearity, (ii) symmetry of <v, Zw> as a bilinear form,
-    (iii) positivity of 1 - Z^2.  Returns (ok, diagnostics) where diagnostics
-    holds the anticommutator residual, the symmetry defect of the coordinate
-    matrix W, and the smallest eigenvalue of the Hermitean part of 1 - W Wbar.
+    (iii) positivity of 1 - Z^2, each to ATOL_STRUCT.  Returns (ok, diagnostics)
+    where diagnostics holds the anticommutator residual, the symmetry defect of
+    the coordinate matrix W, and the smallest eigenvalue of the Hermitean part
+    of 1 - W Wbar.
     """
     anti = float(np.abs(Z @ model.j + model.j @ Z).max())
     W = antilinear_matrix(model, Z, check=False)
@@ -206,40 +207,39 @@ def siegel_check(model: SymplecticModel, Z: np.ndarray, tol: float = ATOL_STRUCT
     M = np.eye(model.n) - W @ W.conj()
     herm = (M + M.conj().T) / 2.0
     mineig = float(np.linalg.eigvalsh(herm).min())
-    ok = anti <= tol and sym <= tol and mineig > tol
+    ok = anti <= ATOL_STRUCT and sym <= ATOL_STRUCT and mineig > ATOL_STRUCT
     return ok, {"anticommutator": anti, "symmetry": sym, "min_eig_one_minus_zsq": mineig}
 
 
-def make_cz_pair(model: SymplecticModel, C: np.ndarray, Z: np.ndarray, check: bool = True) -> CZPair:
+def make_cz_pair(model: SymplecticModel, C: np.ndarray, Z: np.ndarray) -> CZPair:
     """Build a CZPair, verifying the compatibility relation 1 - Z^2 = (C* C)^{-1}."""
-    if check:
-        ok, diag = siegel_check(model, Z)
-        if not ok:
-            raise ValueError(f"Z outside the generalized unit disc: {diag}")
-        K = complex_matrix(model, C)
-        W = antilinear_matrix(model, Z, check=False)
-        lhs = np.eye(model.n) - W @ W.conj()
-        rhs = np.linalg.inv(K.conj().T @ K)
-        scale = max(1.0, float(np.abs(rhs).max()))
-        if np.abs(lhs - rhs).max() > ATOL_STRUCT * scale:
-            raise ValueError("incompatible (C, Z): 1 - Z^2 != (C* C)^{-1}")
+    ok, diag = siegel_check(model, Z)
+    if not ok:
+        raise ValueError(f"Z outside the generalized unit disc: {diag}")
+    K = complex_matrix(model, C)
+    W = antilinear_matrix(model, Z, check=False)
+    lhs = np.eye(model.n) - W @ W.conj()
+    rhs = np.linalg.inv(K.conj().T @ K)
+    scale = max(1.0, float(np.abs(rhs).max()))
+    if np.abs(lhs - rhs).max() > ATOL_STRUCT * scale:
+        raise ValueError("incompatible (C, Z): 1 - Z^2 != (C* C)^{-1}")
     return CZPair(C=C, Z=Z)
 
 
-def cz_decompose(model: SymplecticModel, g: np.ndarray, check: bool = True) -> CZPair:
+def cz_decompose(model: SymplecticModel, g: np.ndarray) -> CZPair:
     """Split a symplectic g into g = C_g (1 + Z_g)."""
-    if check and not is_symplectic(model, g):
+    if not is_symplectic(model, g):
         raise ValueError(f"matrix is not symplectic (residual {sp_residual(model, g):.3e})")
     C = linear_part(model, g)
     D = antilinear_part(model, g)
     Z = np.linalg.solve(C, D)
-    return make_cz_pair(model, C, Z, check=check)
+    return make_cz_pair(model, C, Z)
 
 
-def cz_compose(model: SymplecticModel, pair: CZPair, check: bool = True) -> np.ndarray:
+def cz_compose(model: SymplecticModel, pair: CZPair) -> np.ndarray:
     """Reassemble the symplectic matrix g = C (1 + Z) from its pair."""
     g = pair.C @ (np.eye(2 * model.n) + pair.Z)
-    if check and not is_symplectic(model, g, tol=1e-8):
+    if not is_symplectic(model, g, tol=1e-8):
         raise ValueError("pair does not assemble to a symplectic matrix")
     return g
 

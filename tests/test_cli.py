@@ -257,6 +257,36 @@ def test_kernels_suite_requires_n1():
         cli.run_verify(cfg, suites=["kernels"])
 
 
+@pytest.mark.parametrize("modes, key, value, message", [
+    ("gamma_modes", "matrix", [[0.1]], "gamma matrix must be 2x2"),
+    ("a_modes", "direction", 2, "mode direction 2 out of range for 2n = 2"),
+    ("a_modes", "k", [0, 1, 0], "mode k-vector must have length 2"),
+])
+def test_mode_entries_of_the_wrong_size_are_refused(tmp_path, capsys, modes,
+                                                    key, value, message):
+    cfg = cli.default_config()
+    cfg["connection"][modes][0][key] = value
+    with pytest.raises(cli.ConfigError, match=re.escape(message)):
+        cli.build_setup(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unknown_suite_argument_is_refused():
+    with pytest.raises(cli.ConfigError, match="unknown suite 'nope'"):
+        cli.run_verify(cli.default_config(), suites=["nope"])
+
+
+@pytest.mark.parametrize("hbar", [3.0, 10.0])
+def test_verify_adjoint_check_is_scale_free(hbar):
+    # the fiber weights grow as (2 hbar)^degree; the residual is relative
+    cfg = cli.default_config()
+    cfg["model"]["hbar"] = hbar
+    assert cli.run_verify(cfg, suites=["dirac"])[1] == 0
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 

@@ -372,6 +372,57 @@ def test_central_curvature_flat_is_zero():
     assert np.abs(ge.central_curvature(ge.flat_connection(t))).max() == 0.0
 
 
+def test_curvatures_differentiate_each_unordered_pair_once(monkeypatch):
+    # reference: every ordered pair (a, b), the diagonal included
+    def ref_central(conn):
+        t, alpha0 = conn.torus, ge.central_potential(conn)
+        F = np.zeros((t.dim, t.dim) + t.grid_shape, dtype=complex)
+        for aa in range(t.dim):
+            for bb in range(t.dim):
+                F[aa, bb] = ge.partial_derivative(t, alpha0[bb], aa) \
+                    - ge.partial_derivative(t, alpha0[aa], bb)
+        return (-1j * F).real
+
+    def ref_eta(conn):
+        t = conn.torus
+        c = 2.0 * np.array(conn.a, dtype=complex)
+        c += 2.0 * (ge.central_potential(conn) - conn.a)
+        ones = np.ones(t.grid_shape, dtype=complex)
+
+        def cov(b, s):
+            return ge.partial_derivative(t, s, b) + c[b] * s
+
+        F = np.zeros((t.dim, t.dim) + t.grid_shape, dtype=complex)
+        for aa in range(t.dim):
+            for bb in range(t.dim):
+                F[aa, bb] = cov(aa, cov(bb, ones)) - cov(bb, cov(aa, ones))
+        return F
+
+    calls = []
+    original = ge.partial_derivative
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    rng = np.random.default_rng(RNG_SEED + 7)
+    for n, cutoff, want in ((1, 4, (2, 4)), (2, 2, (12, 16))):
+        t = small_torus(n=n, cutoff=cutoff)
+        for unitary in (True, False):
+            conn = ge.random_connection(t, rng, cutoff=1, unitary=unitary)
+            ref = (ref_central(conn), ref_eta(conn))
+            monkeypatch.setattr(ge, "partial_derivative", counted)
+            got = []
+            for fn, count in zip((ge.central_curvature, ge.eta_curvature),
+                                 want):
+                calls.clear()
+                got.append(fn(conn))
+                assert len(calls) == count
+            monkeypatch.setattr(ge, "partial_derivative", original)
+            assert np.array_equal(got[0], ref[0])
+            assert np.array_equal(got[1], ref[1])
+
+
 # ---------------------------------------------------------------------------
 # spinor fields and their covariant calculus
 

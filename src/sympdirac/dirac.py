@@ -40,7 +40,7 @@ class DiracContext:
 
     conn: Connection
     basis: fk.FockBasis
-    lie_mats: np.ndarray   # (2n,) + grid + (F, F)
+    action: ge.FiberAction  # the connection's fiber action, row-sparse
     # operator name -> (2n, F, F) stack X, the operator being
     # sum_i X[i] nabla_{e^i} in any frame e_i; contract holds the same
     # operators on the coordinate frame, as stacks multiplying nabla_k
@@ -59,20 +59,31 @@ class DiracContext:
         return self.conn.torus.model
 
     @cached_property
+    def lie_mats(self) -> np.ndarray:
+        """The dense lie_matrix_field, (2n,) + grid + (F, F).
+
+        Rebuilt on first use for callers that want the full matrices; no
+        operator reads it.
+        """
+        return ge.lie_matrix_field(self.conn, self.basis)
+
+    @cached_property
     def lie_hat(self) -> np.ndarray:
         """Fourier coefficients of lie_mats, grid + (2n, F, F).
 
         Built on first use, so one transform serves every spectrum and
-        symbol_check on this context.  Only the fiber entries that are
-        non-zero at some point and direction are transformed; the others
-        are exact zeros of every coefficient.
+        symbol_check on this context.  Only the stored slots of the
+        row-sparse action are transformed; every other fiber entry is an
+        exact zero of every coefficient.
         """
-        mats, torus = self.lie_mats, self.torus
-        F = mats.shape[-1]
-        rows, cols = np.nonzero((mats != 0).reshape(-1, F, F).any(axis=0))
+        act, torus = self.action, self.torus
+        F = act.cols.shape[0]
+        rows, ks = act.slots
+        cols = act.cols[rows, ks]
+        # (stored slots, 2n) + grid, moved to grid + (2n, stored slots)
+        entries = np.moveaxis(act.coef[:, ks, ..., rows], (0, 1), (-1, -2))
         out = np.zeros(torus.grid_shape + (torus.dim, F, F), dtype=complex)
-        out[..., rows, cols] = ge.mode_coefficients(
-            torus, np.moveaxis(mats[..., rows, cols], 0, -2))
+        out[..., rows, cols] = ge.mode_coefficients(torus, entries)
         return out
 
 
@@ -92,7 +103,7 @@ def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:
     return DiracContext(
         conn=conn,
         basis=basis,
-        lie_mats=ge.lie_matrix_field(conn, basis),
+        action=ge.fiber_action(conn, basis),
         fiber=fiber,
         # coordinate dual frame: e^i = sum_k Omega[i, k] e_k
         contract={name: np.einsum("ik,iFG->kFG", Om, stack)
@@ -120,7 +131,7 @@ def _apply(S: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def _derivs(ctx: DiracContext, vals: np.ndarray):
     """nabla_0 vals, ..., nabla_{2n-1} vals, computed one at a time."""
     for b in range(ctx.torus.dim):
-        yield ge.cov_deriv_values(ctx.torus, ctx.lie_mats, vals, b)
+        yield ge.cov_deriv_values(ctx.torus, ctx.action, vals, b)
 
 
 def _first_order(ctx: DiracContext, grads, *names: str) -> list:
@@ -282,7 +293,7 @@ def nabla_star(ctx: DiracContext, beta: np.ndarray) -> SpinorField:
     Gamma = ctx.conn.Gamma
     out = _along(beta, ctx.jtau).astype(complex, copy=False)
     for aa, bb in zip(*np.nonzero(ctx.ginv)):
-        term = ge.cov_deriv_values(ctx.torus, ctx.lie_mats, beta[bb], aa)
+        term = ge.cov_deriv_values(ctx.torus, ctx.action, beta[bb], aa)
         term -= _along(beta, Gamma[aa][..., :, bb])
         out -= ctx.ginv[aa, bb] * term
     return _wrap(ctx, out)
@@ -328,8 +339,8 @@ def _curvature_vals(ctx: DiracContext, grads: np.ndarray,
     # R and T are antisymmetric in (l, s), so one pass over l < s with
     # M[l, s] - M[s, l]; R(e_l, e_s) psi reuses the first derivatives
     for l, s in combinations(range(ctx.torus.dim), 2):
-        common = (ge.cov_deriv_values(ctx.torus, ctx.lie_mats, grads[s], l)
-                  - ge.cov_deriv_values(ctx.torus, ctx.lie_mats, grads[l], s)
+        common = (ge.cov_deriv_values(ctx.torus, ctx.action, grads[s], l)
+                  - ge.cov_deriv_values(ctx.torus, ctx.action, grads[l], s)
                   - _along(grads, T[l, s]))
         out += _apply(M[l, s] - M[s, l], common)
     return out
@@ -428,12 +439,16 @@ def symbol_check(ctx: DiracContext, kvec) -> tuple:
     of exp(-ik.x) P exp(ik.x) averaged over the torus and expected is the
     scalar -g^{ab} k_a k_b / hbar; the gap is O(|k|) for unitary
     connections and zero in the flat case.  k must be integral, since
-    exp(ik.x) is a field on the torus only then.
+    exp(ik.x) is a field on the torus only then, and within the grid's
+    Nyquist index, since the grid aliases any larger k to a lower mode.
     """
     torus = ctx.torus
     kvec = np.asarray(kvec, dtype=float)
     if kvec.shape != (torus.dim,) or not np.array_equal(kvec, np.round(kvec)):
         raise ValueError("kvec must be an integral vector of length 2n")
+    if np.abs(kvec).max() > torus.nyquist:
+        raise ValueError(f"kvec {kvec.astype(int).tolist()} passes the grid's"
+                         f" Nyquist index {torus.nyquist}")
     mode = (kvec.astype(int) % torus.grid_size)[None]
     fiber = np.arange(ctx.basis.dim)
     full = _p_block(ctx, mode, fiber, fiber, fiber)

@@ -22,6 +22,7 @@ action preserves polynomial degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -91,19 +92,35 @@ def wavenumbers(torus: TorusModel) -> np.ndarray:
     return np.fft.fftfreq(torus.grid_size, 1.0 / torus.grid_size).astype(int)
 
 
+@cache
+def _diff_matrix(grid_size: int) -> np.ndarray:
+    """Real matrix of the spectral d/dx on grid_size (odd) periodic points.
+
+    ifft(i k fft(I)): the same linear map as the FFT/iFFT pair, applied as
+    one matmul (the Fourier differentiation matrix of Trefethen, Spectral
+    Methods in MATLAB, ch. 3).  Odd grids have no Nyquist mode, so the
+    matrix is real.  Read-only, since every caller shares it.
+    """
+    k = np.fft.fftfreq(grid_size, 1.0 / grid_size)
+    spec = 1j * k[:, None] * np.fft.fft(np.eye(grid_size), axis=0)
+    D = np.fft.ifft(spec, axis=0).real
+    D.flags.writeable = False
+    return D
+
+
 def partial_derivative(torus: TorusModel, field: np.ndarray,
                        axis: int) -> np.ndarray:
     """Spectral d/dx_axis; axis counts base axes (0 .. 2n-1).
 
     Exact whenever the field is band-limited below the Nyquist index along
-    that axis; component axes trailing the base axes pass through.
+    that axis; component axes trailing the base axes pass through.  The
+    real differentiation matrix acts on the real and imaginary parts of a
+    complex copy at once, so the result is complex.
     """
-    k = wavenumbers(torus)
-    shape = [1] * field.ndim
-    shape[axis] = torus.grid_size
-    spec = np.fft.fft(np.asarray(field, dtype=complex), axis=axis)
-    spec *= 1j * k.reshape(shape)
-    return np.fft.ifft(spec, axis=axis)
+    G = torus.grid_size
+    vals = np.ascontiguousarray(field, dtype=complex)
+    out = np.matmul(_diff_matrix(G), vals.view(float).reshape(G ** axis, G, -1))
+    return out.view(complex).reshape(vals.shape)
 
 
 def mode_coefficients(torus: TorusModel, field: np.ndarray) -> np.ndarray:
@@ -497,48 +514,134 @@ def random_spinor_field(torus: TorusModel, basis: fk.FockBasis,
     return spinor_field(torus, basis, vals)
 
 
+def _fiber_gamma(conn: Connection) -> np.ndarray:
+    # a unitary Gamma is projected to its j-linear part, so the degree
+    # +/-2 parts of its fiber action vanish identically
+    m = conn.torus.model
+    return sl.linear_part(m, conn.Gamma) if conn.unitary else conn.Gamma
+
+
 def lie_matrix_field(conn: Connection, basis: fk.FockBasis) -> np.ndarray:
     """Pointwise fiber matrices of (a_b(x), Gamma_b(x)), shape (2n,)+grid+(F,F).
 
     mpc.lie_action applied at every grid point.  A unitary Gamma is projected
     to its j-linear part first, so the degree +/-2 parts vanish identically.
+    The dense reference form of fiber_action.
+    """
+    return mpc.lie_action(conn.torus.model, basis, conn.a, _fiber_gamma(conn))
+
+
+@dataclass(frozen=True, eq=False)
+class FiberAction:
+    """A lie_matrix_field in row-sparse (ELL) storage.
+
+    Row r of every fiber matrix may be non-zero only in the columns
+    cols[r, :counts[r]], the exact != 0 pattern over all points and
+    directions.  coef[b, k][..., r] is the direction-b entry at
+    (r, cols[r, k]) at every grid point; the padded slots k >= counts[r]
+    hold column 0 and coefficient 0.
+    """
+
+    cols: np.ndarray    # (F, K) int
+    counts: np.ndarray  # (F,) int
+    coef: np.ndarray    # (2n, K) + grid + (F,), complex
+
+    @property
+    def slots(self) -> tuple:
+        """(rows, ks): the stored, non-padded slots, row by row."""
+        return np.nonzero(np.arange(self.cols.shape[1]) < self.counts[:, None])
+
+
+def _row_sparse(direction_mats) -> FiberAction:
+    """FiberAction of the fiber matrix fields grid + (F, F), one per direction.
+
+    direction_mats is consumed one direction at a time (a dense (2n,) + grid
+    + (F, F) array iterates so as well); only each direction's non-zero
+    entries are kept until the pattern of all of them is known.
+    """
+    masks, entries = [], []
+    for mats in direction_mats:
+        F = mats.shape[-1]
+        flat = mats.reshape(mats.shape[:-2] + (F * F,))
+        mask = flat.reshape(-1, F * F).any(axis=0)  # != 0 somewhere
+        masks.append(mask)
+        # grid + (entries non-zero in this direction, then one zero)
+        kept = np.take(flat, np.append(np.flatnonzero(mask), 0), axis=-1)
+        kept[..., -1] = 0
+        entries.append(kept)
+    grid = mats.shape[:-2]
+    pattern = np.logical_or.reduce(masks).reshape(F, F)
+    counts = pattern.sum(axis=1)
+    K = counts.max(initial=0)
+    padded = np.arange(K) >= counts[:, None]
+    cols = np.zeros((F, K), dtype=int)
+    cols[~padded] = np.nonzero(pattern)[1]  # row by row, as the slots
+    coef = np.empty((len(masks), K) + grid + (F,), dtype=complex)
+    for b, (mask, kept) in enumerate(zip(masks, entries)):
+        # where entry (r, c) sits in kept; the last, zero, column serves the
+        # padded slots and the entries that are zero in this direction
+        zero = int(mask.sum())
+        where = np.full(F * F, zero)
+        where[mask] = np.arange(zero)
+        where = where.reshape(F, F)[np.arange(F)[:, None], cols]
+        where[padded] = zero
+        for k in range(K):
+            coef[b, k] = np.take(kept, where[:, k], axis=-1)
+    return FiberAction(cols=cols, counts=counts, coef=coef)
+
+
+def fiber_action(conn: Connection, basis: fk.FockBasis) -> FiberAction:
+    """lie_matrix_field(conn, basis) in row-sparse storage.
+
+    Built one direction at a time, so the dense matrices of only one
+    direction exist at once.
     """
     m = conn.torus.model
-    Gamma = sl.linear_part(m, conn.Gamma) if conn.unitary else conn.Gamma
-    return mpc.lie_action(m, basis, conn.a, Gamma)
+    Gamma = _fiber_gamma(conn)
+    return _row_sparse(mpc.lie_action(m, basis, conn.a[b], Gamma[b])
+                       for b in range(conn.torus.dim))
 
 
-def cov_deriv_values(torus: TorusModel, mats: np.ndarray, vals: np.ndarray,
+def cov_deriv_values(torus: TorusModel, action: FiberAction, vals: np.ndarray,
                      b: int) -> np.ndarray:
-    """nabla_b on raw spinor values: d_b vals + mats[b] vals.
+    """nabla_b on raw spinor values: d_b vals + A_b vals.
 
-    vals has shape grid + (F,); mats is a lie_matrix_field.  Every spinor
-    covariant derivative of the package goes through here, so the fiber
-    action is a batched matmul, which runs faster than the same einsum.
+    vals has shape grid + (F,); A_b is direction b of the row-sparse fiber
+    action, applied as sum_k coef[b, k] * vals[..., cols[:, k]].  Every
+    spinor covariant derivative of the package goes through here.
     """
     out = partial_derivative(torus, vals, b)
-    out += (mats[b] @ vals[..., None])[..., 0]
+    for k in range(action.cols.shape[1]):
+        out += action.coef[b, k] * np.take(vals, action.cols[:, k], axis=-1)
     return out
 
 
 def spinor_cov_deriv(conn: Connection, psi: SpinorField, b: int,
                      mats: np.ndarray | None = None) -> SpinorField:
-    """nabla_b psi = d_b psi + fiber action of (a_b(x), Gamma_b(x))."""
-    if mats is None:
-        mats = lie_matrix_field(conn, psi.basis)
-    vals = cov_deriv_values(psi.torus, mats, psi.values, b)
+    """nabla_b psi = d_b psi + fiber action of (a_b(x), Gamma_b(x)).
+
+    mats, when given, is the connection's lie_matrix_field.
+    """
+    action = (fiber_action(conn, psi.basis) if mats is None
+              else _row_sparse(mats))
+    vals = cov_deriv_values(psi.torus, action, psi.values, b)
     return SpinorField(torus=psi.torus, basis=psi.basis, values=vals)
 
 
 def spinor_curvature(conn: Connection, psi: SpinorField, a: int, b: int,
                      mats: np.ndarray | None = None) -> SpinorField:
-    """R(d_a, d_b) psi = nabla_a nabla_b psi - nabla_b nabla_a psi."""
-    if mats is None:
-        mats = lie_matrix_field(conn, psi.basis)
-    ab = spinor_cov_deriv(conn, spinor_cov_deriv(conn, psi, b, mats), a, mats)
-    ba = spinor_cov_deriv(conn, spinor_cov_deriv(conn, psi, a, mats), b, mats)
-    return SpinorField(torus=psi.torus, basis=psi.basis,
-                       values=ab.values - ba.values)
+    """R(d_a, d_b) psi = nabla_a nabla_b psi - nabla_b nabla_a psi.
+
+    mats, when given, is the connection's lie_matrix_field.
+    """
+    action = (fiber_action(conn, psi.basis) if mats is None
+              else _row_sparse(mats))
+
+    def nabla(c, vals):
+        return cov_deriv_values(psi.torus, action, vals, c)
+
+    vals = nabla(a, nabla(b, psi.values)) - nabla(b, nabla(a, psi.values))
+    return SpinorField(torus=psi.torus, basis=psi.basis, values=vals)
 
 
 def clifford_basis_matrices(model: SymplecticModel, basis: fk.FockBasis,

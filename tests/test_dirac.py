@@ -439,6 +439,18 @@ def test_symbol_check_rejects_non_integral_wavevector():
         dr.symbol_check(ctx, [0.5, 1])
 
 
+def test_symbol_check_rejects_wavevector_past_nyquist():
+    # the default grid has 13 points per axis, Nyquist index 6: k = (13, 0)
+    # would be read as mode 0 and k = (7, 7) as (-6, -6)
+    ctx, _ = make_setup(kind="unitary", max_degree=3)
+    assert ctx.torus.nyquist == 6
+    for kvec in ([13, 0], [7, 7], [0, -7]):
+        with pytest.raises(ValueError, match="Nyquist"):
+            dr.symbol_check(ctx, kvec)
+    blocks, expected = dr.symbol_check(ctx, [6, -6])
+    assert len(blocks) == 4 and expected < 0
+
+
 def test_operators_reject_field_on_another_torus():
     ctx, rng = make_setup(kind="unitary", cutoff=2, max_degree=3, hbar=0.7)
     other = ge.torus_model(sl.standard_model(1, hbar=2.0), 2)
@@ -577,6 +589,42 @@ def test_operators_match_einsum_reference(n, cutoff, kind):
     for field in (X, ctx.jtau):
         assert _rel_gap(dr.nabla_dir(ctx, psi, field).values,
                         _ref_along(ctx, v, field)) < 1e-12
+
+
+@pytest.mark.parametrize("n, kind, K", [(1, "flat", 0), (1, "unitary", 1),
+                                        (2, "general", 7)])
+def test_row_sparse_kernel_matches_dense_matmul(n, kind, K):
+    # K = 0 leaves the bare derivative, K = 1 is the diagonal unitary n = 1
+    # action, and the non-unitary n = 2 action has the widest rows
+    cutoff = 4 if n == 1 else 1
+    ctx, rng = make_setup(n=n, cutoff=cutoff, max_degree=4, kind=kind)
+    assert ctx.action.cols.shape == (ctx.basis.dim, K)
+    mats = ge.lie_matrix_field(ctx.conn, ctx.basis)
+    vals = random_psi(ctx, rng, cutoff=1).values
+    for b in range(ctx.torus.dim):
+        want = ge.partial_derivative(ctx.torus, vals, b) \
+            + (mats[b] @ vals[..., None])[..., 0]
+        got = ge.cov_deriv_values(ctx.torus, ctx.action, vals, b)
+        assert _rel_gap(got, want) <= 1e-13
+
+
+def test_context_stores_the_fiber_action_row_sparse():
+    # the benchmark's fields size: the dense (2n,) + grid + (F, F) matrices
+    # take 33 MiB, the row-sparse action (K = 3) 6.6 MiB, and make_context
+    # builds it one direction (8.2 MiB dense) at a time
+    t = ge.torus_model(sl.standard_model(2, hbar=0.7), 2)
+    basis = fk.fock_basis(2, 4)
+    conn = ge.random_connection(t, np.random.default_rng(RNG_SEED), cutoff=1,
+                                unitary=True)
+    tracemalloc.start()
+    try:
+        ctx = dr.make_context(conn, basis)
+        stored, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.grid_shape == (7,) * 4 and ctx.basis.dim == 15
+    assert stored <= 8 * 2 ** 20
+    assert peak < 33 * 2 ** 20
 
 
 def test_operators_share_the_first_derivatives(monkeypatch):

@@ -44,6 +44,32 @@ def test_spectral_derivative_exact_on_trig():
     assert np.abs(d1 + 3 * np.sin(2 * x[..., 0]) * np.sin(3 * x[..., 1])).max() < 1e-13
 
 
+def _fft_derivative(grid_size, field, axis):
+    k = np.fft.fftfreq(grid_size, 1.0 / grid_size)
+    shape = [1] * field.ndim
+    shape[axis] = grid_size
+    spec = np.fft.fft(field, axis=axis) * (1j * k.reshape(shape))
+    return np.fft.ifft(spec, axis=axis)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("grid", [7, 11, 13, 25])
+def test_partial_derivative_matches_fft_formula(n, grid):
+    # the differentiation matrix is the FFT pair's linear map, on real
+    # fields and on complex fields with trailing component axes
+    t = small_torus(n=n, cutoff=2, grid=grid)
+    rng = np.random.default_rng(RNG_SEED + grid)
+    real = rng.normal(size=t.grid_shape)
+    cplx = rng.normal(size=t.grid_shape + (2, 2)) \
+        + 1j * rng.normal(size=t.grid_shape + (2, 2))
+    for field in (real, cplx):
+        for axis in range(t.dim):
+            got = ge.partial_derivative(t, field, axis)
+            want = _fft_derivative(grid, field, axis)
+            assert got.dtype == complex and got.shape == field.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_spectral_derivative_product_rule_within_budget():
     # cutoff-2 times cutoff-3 products stay below the Nyquist index 6
     t = small_torus()

@@ -44,61 +44,60 @@ def _unitary_connection(setup: RunSetup, rng: np.random.Generator,
     return ge.random_connection(setup.torus, rng, cutoff=1, unitary=True)
 
 
+def _max_abs(x):
+    """Max-norm of each trial's matrix in a batch."""
+    return np.abs(x).max(axis=(-2, -1))
+
+
 def _check_cz_roundtrip(setup, rng):
-    for _ in range(40):
-        g = sl.random_sp(setup.model, rng)
-        back = sl.cz_compose(setup.model, sl.cz_decompose(setup.model, g))
-        yield np.abs(back - g).max()
+    m = setup.model
+    g = sl.random_sp(m, rng, shape=(40,))
+    back = sl.cz_compose(m, sl.cz_decompose(m, g))
+    yield from _max_abs(back - g)
 
 
 def _check_cz_product(setup, rng):
-    for _ in range(20):
-        g1 = sl.random_sp(setup.model, rng)
-        g2 = sl.random_sp(setup.model, rng)
-        prod = sl.cz_product(setup.model, sl.cz_decompose(setup.model, g1),
-                             sl.cz_decompose(setup.model, g2))
-        direct = sl.cz_decompose(setup.model, g1 @ g2)
-        yield np.abs(prod.C - direct.C).max()
-        yield np.abs(prod.Z - direct.Z).max()
+    m = setup.model
+    g = sl.random_sp(m, rng, shape=(20, 2))
+    g1, g2 = g[:, 0], g[:, 1]
+    prod = sl.cz_product(m, sl.cz_decompose(m, g1), sl.cz_decompose(m, g2))
+    direct = sl.cz_decompose(m, g1 @ g2)
+    yield from _max_abs(prod.C - direct.C)
+    yield from _max_abs(prod.Z - direct.Z)
 
 
 def _check_cz_inverse(setup, rng):
-    eye = np.eye(2 * setup.model.n)
-    for _ in range(20):
-        g = sl.random_sp(setup.model, rng)
-        ginv = sl.cz_compose(setup.model,
-                             sl.cz_inverse(setup.model,
-                                           sl.cz_decompose(setup.model, g)))
-        yield np.abs(ginv @ g - eye).max()
+    m = setup.model
+    g = sl.random_sp(m, rng, shape=(20,))
+    ginv = sl.cz_compose(m, sl.cz_inverse(m, sl.cz_decompose(m, g)))
+    yield from _max_abs(ginv @ g - np.eye(2 * m.n))
 
 
 def _check_mpc_associativity(setup, rng):
     m = setup.model
-    for _ in range(15):
-        u1, u2, u3 = (mpc.random_mpc(m, rng) for _ in range(3))
-        left = mpc.mpc_mul(m, mpc.mpc_mul(m, u1, u2), u3)
-        right = mpc.mpc_mul(m, u1, mpc.mpc_mul(m, u2, u3))
-        yield np.abs(left.pair.C - right.pair.C).max()
-        yield np.abs(left.pair.Z - right.pair.Z).max()
-        yield abs(left.lam - right.lam)
+    u = mpc.random_mpc(m, rng, shape=(15, 3))
+    u1, u2, u3 = u[:, 0], u[:, 1], u[:, 2]
+    left = mpc.mpc_mul(m, mpc.mpc_mul(m, u1, u2), u3)
+    right = mpc.mpc_mul(m, u1, mpc.mpc_mul(m, u2, u3))
+    yield from _max_abs(left.pair.C - right.pair.C)
+    yield from _max_abs(left.pair.Z - right.pair.Z)
+    yield from np.abs(left.lam - right.lam)
 
 
 def _check_eta_homomorphism(setup, rng):
     m = setup.model
-    for _ in range(15):
-        u1 = mpc.random_mpc(m, rng)
-        u2 = mpc.random_mpc(m, rng)
-        yield abs(mpc.eta(m, mpc.mpc_mul(m, u1, u2))
-                  - mpc.eta(m, u1) * mpc.eta(m, u2))
+    u = mpc.random_mpc(m, rng, shape=(15, 2))
+    u1, u2 = u[:, 0], u[:, 1]
+    yield from np.abs(mpc.eta(m, mpc.mpc_mul(m, u1, u2))
+                      - mpc.eta(m, u1) * mpc.eta(m, u2))
 
 
 def _check_metaplectic_closure(setup, rng):
     m = setup.model
-    for _ in range(10):
-        u1 = mpc.random_mpc(m, rng, metaplectic=True)
-        u2 = mpc.random_mpc(m, rng, metaplectic=True)
-        yield abs(mpc.eta(m, mpc.mpc_mul(m, u1, u2)) - 1.0)
-        yield abs(mpc.eta(m, mpc.mpc_inverse(m, u1)) - 1.0)
+    u = mpc.random_mpc(m, rng, metaplectic=True, shape=(10, 2))
+    u1, u2 = u[:, 0], u[:, 1]
+    yield from np.abs(mpc.eta(m, mpc.mpc_mul(m, u1, u2)) - 1.0)
+    yield from np.abs(mpc.eta(m, mpc.mpc_inverse(m, u1)) - 1.0)
 
 
 def _check_ccr(setup, rng):
@@ -157,7 +156,11 @@ def _check_heisenberg_unitarity(setup, rng):
         before = fk.combo_inner(m, c1, c2)
         after = fk.combo_inner(m, fk.uj_apply(m, h, c1),
                                fk.uj_apply(m, h, c2))
-        yield abs(after - before)
+        # relative to the Cauchy-Schwarz bound |c1||c2| on |before|; the
+        # coherent-state norms grow as exp(|v|^2/4hbar)
+        bound = np.sqrt(fk.combo_inner(m, c1, c1).real
+                        * fk.combo_inner(m, c2, c2).real)
+        yield np.abs(after - before) / bound
 
 
 def _check_heisenberg_group_law(setup, rng):
@@ -171,7 +174,12 @@ def _check_heisenberg_group_law(setup, rng):
         two = fk.uj_apply(m, h1, fk.uj_apply(m, h2, c))
         one = fk.uj_apply(m, fk.heisenberg_mul(m, h1, h2), c)
         z = rng.uniform(-1, 1, size=(6, 2 * m.n))
-        yield np.abs(fk.combo_eval(m, two, z) - fk.combo_eval(m, one, z)).max()
+        gap = np.abs(fk.combo_eval(m, two, z) - fk.combo_eval(m, one, z))
+        # relative to the Cauchy-Schwarz bound |one(z)| <= |one| |e_z|, with
+        # |e_z| = exp(|z|^2/4hbar) by the reproducing property
+        norm_ez = np.exp(np.sum(z * z, axis=-1) / (4.0 * m.hbar))
+        bound = np.sqrt(fk.combo_inner(m, one, one).real) * norm_ez
+        yield (gap / bound).max()
 
 
 def _check_kernel_composition(setup, rng):

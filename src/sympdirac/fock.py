@@ -260,11 +260,12 @@ def coherent_inner(model: SymplecticModel, v: np.ndarray, w: np.ndarray) -> comp
 
 
 def combo_inner(model: SymplecticModel, c1: CoherentCombo, c2: CoherentCombo) -> complex:
-    out = 0j
-    for a, v in zip(c1.coeffs, c1.centers):
-        for b, w in zip(c2.coeffs, c2.centers):
-            out += a * b.conj() * coherent_inner(model, v, w)
-    return complex(out)
+    """sum_ij a_i conj(b_j) (e_{v_i}, e_{w_j}), through the Gram matrix
+    exp(<w_j, v_i>/2hbar) of the centers."""
+    v = vec_to_complex(model, c1.centers)
+    w = vec_to_complex(model, c2.centers)
+    gram = np.exp(v.conj() @ w.T / (2.0 * model.hbar))
+    return complex(c1.coeffs @ gram @ c2.coeffs.conj())
 
 
 def combo_eval(model: SymplecticModel, c: CoherentCombo, z: np.ndarray):

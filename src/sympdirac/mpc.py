@@ -23,8 +23,10 @@ the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import fock as fk
 from . import symplinalg as sl
@@ -35,14 +37,24 @@ ATOL_INVARIANT = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class MpcElement:
+    """Parameters (C, Z, lam) of an element, or of a batch of shape S.
+
+    pair.C and pair.Z have shape S + (2n, 2n) and lam has shape S (a Python
+    complex when S = ()); indexing an element indexes S.
+    """
+
     pair: CZPair
-    lam: complex
+    lam: complex | np.ndarray
+
+    def __getitem__(self, idx) -> "MpcElement":
+        return MpcElement(pair=self.pair[idx], lam=self.lam[idx])
 
 
-def mpc_element(model: SymplecticModel, pair: CZPair, lam: complex) -> MpcElement:
-    lam = complex(lam)
+def mpc_element(model: SymplecticModel, pair: CZPair,
+                lam: complex | np.ndarray) -> MpcElement:
+    lam = sl.unbatch(np.asarray(lam, dtype=complex))
     det = np.linalg.det(sl.complex_matrix(model, pair.C))
-    if abs(abs(lam * lam * det) - 1.0) > ATOL_INVARIANT:
+    if np.any(np.abs(np.abs(lam * lam * det) - 1.0) > ATOL_INVARIANT):
         raise ValueError("|lam^2 det C| != 1")
     return MpcElement(pair=pair, lam=lam)
 
@@ -62,9 +74,9 @@ def sigma(model: SymplecticModel, u: MpcElement) -> np.ndarray:
     return sl.cz_compose(model, u.pair)
 
 
-def eta(model: SymplecticModel, u: MpcElement) -> complex:
+def eta(model: SymplecticModel, u: MpcElement):
     """The character lam^2 det C; squaring map on the central circle."""
-    return u.lam**2 * complex(np.linalg.det(sl.complex_matrix(model, u.pair.C)))
+    return sl.unbatch(u.lam**2 * np.linalg.det(sl.complex_matrix(model, u.pair.C)))
 
 
 def is_metaplectic(model: SymplecticModel, u: MpcElement) -> bool:
@@ -72,17 +84,32 @@ def is_metaplectic(model: SymplecticModel, u: MpcElement) -> bool:
 
 
 def random_mpc(model: SymplecticModel, rng: np.random.Generator,
-               scale: float = 0.35, metaplectic: bool = False) -> MpcElement:
-    pair = sl.cz_decompose(model, sl.random_sp(model, rng, scale=scale))
+               scale: float = 0.35, metaplectic: bool = False,
+               shape: tuple = ()) -> MpcElement:
+    """Random element over random_sp, with lam = det C^{-1/2} when metaplectic
+    and a uniform random phase of modulus |det C|^{-1/2} otherwise.
+
+    A batch of the given shape makes consecutive single draws in C order: the
+    Gaussian matrix of each element, then its phase.
+    """
+    d = 2 * model.n
+    X = np.empty(tuple(shape) + (d, d))
+    phase = np.empty(shape)
+    for idx in np.ndindex(*shape):
+        X[idx] = rng.standard_normal((d, d))
+        if not metaplectic:
+            phase[idx] = rng.uniform(0, 2 * np.pi)
+    g = expm(sl.sp_algebra_from_gaussian(model, X, scale))
+    pair = sl.cz_decompose(model, g)
     det = np.linalg.det(sl.complex_matrix(model, pair.C))
     if metaplectic:
         lam = det ** (-0.5)
     else:
-        lam = np.exp(1j * rng.uniform(0, 2 * np.pi)) / np.sqrt(abs(det))
+        lam = np.exp(1j * phase) / np.sqrt(abs(det))
     return mpc_element(model, pair, lam)
 
 
-def _pair_product_logdet(model: SymplecticModel, p1: CZPair, p2: CZPair) -> complex:
+def _pair_product_logdet(model: SymplecticModel, p1: CZPair, p2: CZPair):
     """a(1 - Z_{g1} Z_{g2^{-1}}) for the lam cocycle."""
     W1 = sl.antilinear_matrix(model, p1.Z, check=False)
     Wm = sl.antilinear_matrix(model, sl.inverse_z(p2), check=False)
@@ -244,8 +271,6 @@ def lie_group_kernel_residual(model: SymplecticModel, x: MpcLieElement,
     at 10 sample points drawn from default_rng(0).  The residual decays at
     O(t^2).
     """
-    from scipy.linalg import expm
-
     rng = np.random.default_rng(0)
 
     def element(s: float) -> MpcElement:
@@ -336,13 +361,23 @@ def uj_kernel_fn(model: SymplecticModel, h: fk.HeisenbergElement):
     return fn
 
 
+@cache
+def _gauss_hermite(order: int):
+    """One-dimensional Gauss-Hermite nodes and weights, read-only, since every
+    caller shares them."""
+    s, wt = np.polynomial.hermite.hermgauss(order)
+    s.flags.writeable = False
+    wt.flags.writeable = False
+    return s, wt
+
+
 def _hermite_rule(order: int, scale: float):
     """Tensor Gauss-Hermite rule on R^2 for the weight exp(-|x|^2) / pi.
 
     Returns nodes scale * (s_i, s_j), shape (order^2, 2), and the weights
     w_i w_j / pi, which sum to 1.
     """
-    s, wt = np.polynomial.hermite.hermgauss(order)
+    s, wt = _gauss_hermite(order)
     X, Y = np.meshgrid(s, s, indexing="ij")
     nodes = scale * np.stack([X.ravel(), Y.ravel()], axis=-1)
     return nodes, (wt[:, None] * wt[None, :]).ravel() / np.pi

@@ -17,6 +17,13 @@ symmetric for the Hermitean pairing and with 1 - Z^2 positive.  This module
 implements that decomposition, its composition and inversion laws, and the
 smooth logarithm-of-determinant `a` on j-linear maps whose Hermitean part is
 positive definite.  All of it is plain dense numpy; sizes are tiny (n <= 4).
+
+The group law broadcasts over leading batch axes: a matrix argument of shape
+S + (2n, 2n) stands for the elements at each index of S, and one code path
+serves S = () and every batch.  Each element is validated with its own scale,
+and a batch with an invalid element raises the error that element raises on
+its own.  A single element (S = ()) gets Python scalars back where a batch
+gets arrays of shape S.
 """
 
 from __future__ import annotations
@@ -29,6 +36,30 @@ from scipy.linalg import expm
 # Construction-time tolerance for structural invariants (symplecticity,
 # block symmetry, the (C, Z) compatibility relation 1 - Z^2 = (C* C)^{-1}).
 ATOL_STRUCT = 1e-10
+
+
+def unbatch(x):
+    """A 0-d result as a Python scalar, so single-element calls keep their types."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _first_failure(bad):
+    """Index of the first True entry of bad in C order, or None."""
+    bad = np.asarray(bad)
+    return tuple(np.argwhere(bad)[0]) if bad.any() else None
+
+
+def _amax(x: np.ndarray) -> np.ndarray:
+    """Max-norm of each matrix over the last two axes."""
+    return np.abs(x).max(axis=(-2, -1))
+
+
+def _T(A: np.ndarray) -> np.ndarray:
+    return np.swapaxes(A, -1, -2)
+
+
+def _H(K: np.ndarray) -> np.ndarray:
+    return np.swapaxes(K, -1, -2).conj()
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +124,7 @@ def complex_matrix(model: SymplecticModel, A: np.ndarray, check: bool = True) ->
     n = model.n
     if check:
         comm = A @ model.j - model.j @ A
-        if np.abs(comm).max() > ATOL_STRUCT * max(1.0, np.abs(A).max()):
+        if np.any(_amax(comm) > ATOL_STRUCT * np.maximum(1.0, _amax(A))):
             raise ValueError("matrix does not commute with j")
     return A[..., :n, :n] + 1j * A[..., n:, :n]
 
@@ -109,7 +140,7 @@ def antilinear_matrix(model: SymplecticModel, Z: np.ndarray, check: bool = True)
     n = model.n
     if check:
         anti = Z @ model.j + model.j @ Z
-        if np.abs(anti).max() > ATOL_STRUCT * max(1.0, np.abs(Z).max(), 1.0):
+        if np.any(_amax(anti) > ATOL_STRUCT * np.maximum(1.0, _amax(Z))):
             raise ValueError("matrix does not anticommute with j")
     return Z[..., :n, :n] + 1j * Z[..., :n, n:]
 
@@ -132,17 +163,16 @@ def antilinear_part(model: SymplecticModel, A: np.ndarray) -> np.ndarray:
 
 def j_adjoint(model: SymplecticModel, A: np.ndarray) -> np.ndarray:
     """Adjoint of a j-linear map for the Hermitean pairing, as a real matrix."""
-    K = complex_matrix(model, A)
-    return real_matrix(model, K.conj().T)
+    return real_matrix(model, _H(complex_matrix(model, A)))
 
 
-def sp_residual(model: SymplecticModel, g: np.ndarray) -> float:
+def sp_residual(model: SymplecticModel, g: np.ndarray):
     """Max-norm residual of the symplectic condition g^T Omega g = Omega."""
-    return float(np.abs(g.T @ model.Omega @ g - model.Omega).max())
+    return unbatch(_amax(_T(g) @ model.Omega @ g - model.Omega))
 
 
-def is_symplectic(model: SymplecticModel, g: np.ndarray, tol: float = ATOL_STRUCT) -> bool:
-    return sp_residual(model, g) <= tol
+def is_symplectic(model: SymplecticModel, g: np.ndarray, tol: float = ATOL_STRUCT):
+    return unbatch(np.asarray(sp_residual(model, g)) <= tol)
 
 
 def u_residual(model: SymplecticModel, k: np.ndarray) -> float:
@@ -155,17 +185,27 @@ def sp_algebra_residual(model: SymplecticModel, xi: np.ndarray) -> float:
     return float(np.abs(xi.T @ model.Omega + model.Omega @ xi).max())
 
 
-def random_sp(model: SymplecticModel, rng: np.random.Generator, scale: float = 0.35) -> np.ndarray:
-    """Random symplectic matrix exp(Omega^{-1} S) with S symmetric Gaussian."""
-    return expm(random_sp_algebra(model, rng, scale))
+def random_sp(model: SymplecticModel, rng: np.random.Generator, scale: float = 0.35,
+              shape: tuple = ()) -> np.ndarray:
+    """Random symplectic matrices exp(Omega^{-1} S), S symmetric Gaussian.
+
+    A batch of the given shape makes consecutive single draws in C order.
+    """
+    d = 2 * model.n
+    X = rng.standard_normal(tuple(shape) + (d, d))
+    return expm(sp_algebra_from_gaussian(model, X, scale))
 
 
 def random_sp_algebra(model: SymplecticModel, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Random element of sp(2n, R): Omega^{-1} S with S symmetric."""
     d = 2 * model.n
-    S = rng.standard_normal((d, d))
-    S = scale * (S + S.T) / 2.0
-    return np.linalg.solve(model.Omega, S)
+    return sp_algebra_from_gaussian(model, rng.standard_normal((d, d)), scale)
+
+
+def sp_algebra_from_gaussian(model: SymplecticModel, X: np.ndarray, scale: float) -> np.ndarray:
+    """Omega^{-1} S with S = scale (X + X^T)/2: what the random generators make
+    of Gaussian draws X; batched."""
+    return np.linalg.solve(model.Omega, scale * (X + _T(X)) / 2.0)
 
 
 def random_unitary_sp(model: SymplecticModel, rng: np.random.Generator) -> np.ndarray:
@@ -184,12 +224,16 @@ def random_unitary_sp(model: SymplecticModel, rng: np.random.Generator) -> np.nd
 class CZPair:
     """Factorization data g = C (1 + Z): C j-linear, Z j-antilinear.
 
-    Both stored as real 2n x 2n matrices.  Valid pairs satisfy
-    1 - Z^2 = (C* C)^{-1} and Z lies in the generalized unit disc.
+    Both stored as real matrices of shape S + (2n, 2n), S the batch shape;
+    indexing a pair indexes S.  Valid pairs satisfy 1 - Z^2 = (C* C)^{-1} and
+    Z lies in the generalized unit disc.
     """
 
     C: np.ndarray
     Z: np.ndarray
+
+    def __getitem__(self, idx) -> "CZPair":
+        return CZPair(C=self.C[idx], Z=self.Z[idx])
 
 
 def siegel_check(model: SymplecticModel, Z: np.ndarray):
@@ -199,37 +243,38 @@ def siegel_check(model: SymplecticModel, Z: np.ndarray):
     (iii) positivity of 1 - Z^2, each to ATOL_STRUCT.  Returns (ok, diagnostics)
     where diagnostics holds the anticommutator residual, the symmetry defect of
     the coordinate matrix W, and the smallest eigenvalue of the Hermitean part
-    of 1 - W Wbar.
+    of 1 - W Wbar; each has the batch shape of Z.
     """
-    anti = float(np.abs(Z @ model.j + model.j @ Z).max())
+    anti = unbatch(_amax(Z @ model.j + model.j @ Z))
     W = antilinear_matrix(model, Z, check=False)
-    sym = float(np.abs(W - W.T).max())
-    M = np.eye(model.n) - W @ W.conj()
-    herm = (M + M.conj().T) / 2.0
-    mineig = float(np.linalg.eigvalsh(herm).min())
-    ok = anti <= ATOL_STRUCT and sym <= ATOL_STRUCT and mineig > ATOL_STRUCT
+    sym = unbatch(_amax(W - _T(W)))
+    mineig = hermitean_min_eig(np.eye(model.n) - W @ W.conj())
+    ok = (anti <= ATOL_STRUCT) & (sym <= ATOL_STRUCT) & (mineig > ATOL_STRUCT)
     return ok, {"anticommutator": anti, "symmetry": sym, "min_eig_one_minus_zsq": mineig}
 
 
 def make_cz_pair(model: SymplecticModel, C: np.ndarray, Z: np.ndarray) -> CZPair:
     """Build a CZPair, verifying the compatibility relation 1 - Z^2 = (C* C)^{-1}."""
     ok, diag = siegel_check(model, Z)
-    if not ok:
+    bad = _first_failure(np.logical_not(ok))
+    if bad is not None:
+        diag = {key: unbatch(np.asarray(val)[bad]) for key, val in diag.items()}
         raise ValueError(f"Z outside the generalized unit disc: {diag}")
     K = complex_matrix(model, C)
     W = antilinear_matrix(model, Z, check=False)
     lhs = np.eye(model.n) - W @ W.conj()
-    rhs = np.linalg.inv(K.conj().T @ K)
-    scale = max(1.0, float(np.abs(rhs).max()))
-    if np.abs(lhs - rhs).max() > ATOL_STRUCT * scale:
+    rhs = np.linalg.inv(_H(K) @ K)
+    if np.any(_amax(lhs - rhs) > ATOL_STRUCT * np.maximum(1.0, _amax(rhs))):
         raise ValueError("incompatible (C, Z): 1 - Z^2 != (C* C)^{-1}")
     return CZPair(C=C, Z=Z)
 
 
 def cz_decompose(model: SymplecticModel, g: np.ndarray) -> CZPair:
     """Split a symplectic g into g = C_g (1 + Z_g)."""
-    if not is_symplectic(model, g):
-        raise ValueError(f"matrix is not symplectic (residual {sp_residual(model, g):.3e})")
+    residual = np.asarray(sp_residual(model, g))
+    bad = _first_failure(np.logical_not(residual <= ATOL_STRUCT))
+    if bad is not None:
+        raise ValueError(f"matrix is not symplectic (residual {residual[bad]:.3e})")
     C = linear_part(model, g)
     D = antilinear_part(model, g)
     Z = np.linalg.solve(C, D)
@@ -239,14 +284,14 @@ def cz_decompose(model: SymplecticModel, g: np.ndarray) -> CZPair:
 def cz_compose(model: SymplecticModel, pair: CZPair) -> np.ndarray:
     """Reassemble the symplectic matrix g = C (1 + Z) from its pair."""
     g = pair.C @ (np.eye(2 * model.n) + pair.Z)
-    if not is_symplectic(model, g, tol=1e-8):
+    if not np.all(is_symplectic(model, g, tol=1e-8)):
         raise ValueError("pair does not assemble to a symplectic matrix")
     return g
 
 
 def inverse_z(pair: CZPair) -> np.ndarray:
     """Z_{g^{-1}} = -C_g Z_g C_g^{-1}, solving against C^T on the right."""
-    return -pair.C @ np.linalg.solve(pair.C.T, pair.Z.T).T
+    return -pair.C @ _T(np.linalg.solve(_T(pair.C), _T(pair.Z)))
 
 
 def cz_inverse(model: SymplecticModel, pair: CZPair) -> CZPair:
@@ -274,27 +319,27 @@ def cz_product(model: SymplecticModel, p1: CZPair, p2: CZPair) -> CZPair:
 # Smooth logarithm of the complex determinant
 
 
-def hermitean_min_eig(K: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitean part (K + K^H)/2."""
-    return float(np.linalg.eigvalsh((K + K.conj().T) / 2.0).min())
+def hermitean_min_eig(K: np.ndarray):
+    """Smallest eigenvalue of the Hermitean part (K + K^H)/2; batched."""
+    return unbatch(np.linalg.eigvalsh((K + _H(K)) / 2.0).min(axis=-1))
 
 
-def smooth_log_det(model: SymplecticModel, A: np.ndarray) -> complex:
+def smooth_log_det(model: SymplecticModel, A: np.ndarray):
     """The analytic branch a(g) of log det_C on maps with positive Hermitean part.
 
     Accepts either the real 2n x 2n form of a j-linear map or its n x n
-    complex matrix.  Equals the sum of principal logarithms of the complex
-    eigenvalues; this is the unique continuous branch with a(1) = 0 on the
-    (convex, hence simply connected) set where the Hermitean part is positive
-    definite, because every eigenvalue stays in the open right half-plane.
+    complex matrix, with leading batch axes.  Equals the sum of principal
+    logarithms of the complex eigenvalues; this is the unique continuous
+    branch with a(1) = 0 on the (convex, hence simply connected) set where the
+    Hermitean part is positive definite, because every eigenvalue stays in the
+    open right half-plane.
     """
-    if A.shape == (2 * model.n, 2 * model.n):
+    if A.shape[-2:] == (2 * model.n, 2 * model.n):
         K = complex_matrix(model, A)
-    elif A.shape == (model.n, model.n):
+    elif A.shape[-2:] == (model.n, model.n):
         K = np.asarray(A, dtype=complex)
     else:
         raise ValueError(f"bad shape {A.shape} for smooth_log_det")
-    if hermitean_min_eig(K) <= 0:
+    if np.any(hermitean_min_eig(K) <= 0):
         raise ValueError("Hermitean part is not positive definite; a(g) undefined here")
-    eigs = np.linalg.eigvals(K)
-    return complex(np.sum(np.log(eigs)))
+    return unbatch(np.sum(np.log(np.linalg.eigvals(K)), axis=-1))

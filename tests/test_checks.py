@@ -1,5 +1,7 @@
 """Tests for the check registry, run as a library without the command line."""
 
+import pytest
+
 from sympdirac import checks
 from sympdirac import fock as fk
 from sympdirac import geometry as ge
@@ -38,3 +40,16 @@ def test_each_suite_draws_from_its_own_stream():
     assert residuals(("fock", "cz")) == alone
     assert residuals(("cz",), seed=6) != alone
 
+
+
+@pytest.mark.parametrize("suite", ["cz", "mpc"])
+def test_group_law_suites_validate_each_law_once_per_batch(suite, monkeypatch):
+    # the trials of a check go through the law as one batch, so the number
+    # of validated pairs does not grow with the trial count (15-40 a check)
+    calls = []
+    make = sl.make_cz_pair
+    monkeypatch.setattr(sl, "make_cz_pair",
+                        lambda *args: calls.append(1) or make(*args))
+    rows = checks.run_checks(flat_setup(), (suite,))
+    assert all(r["pass"] for r in rows)
+    assert len(calls) <= 4 * len(rows)

@@ -214,6 +214,35 @@ def test_verify_commutator_checks_are_scale_free(hbar):
         assert checks[name]["pass"] is True
 
 
+@pytest.mark.parametrize("hbar", [0.05, 0.7, 3.0])
+def test_verify_heisenberg_checks_are_scale_free(hbar):
+    # coherent-state norms grow as exp(|v|^2/4hbar); the gaps are relative
+    # to their Cauchy-Schwarz bounds, so the fock suite passes at small hbar
+    cfg = cli.default_config()
+    cfg["model"]["hbar"] = hbar
+    cfg["suites"] = ["fock"]
+    report, code = cli.run_verify(cfg)
+    assert code == 0
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in ("heisenberg-unitarity", "heisenberg-group-law"):
+        assert checks[name]["tolerance"] == 1e-12
+        assert checks[name]["pass"] is True
+
+
+def test_gauss_hermite_rule_is_computed_once_per_order(monkeypatch):
+    cfg = cli.default_config()
+    cli.run_verify(cfg, suites=["kernels"])
+    calls = []
+    hermgauss = np.polynomial.hermite.hermgauss
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss",
+                        lambda order: calls.append(order) or hermgauss(order))
+    report, _ = cli.run_verify(cfg, suites=["kernels"])
+    assert calls == []
+    assert [c["name"] for c in report["checks"]][:3] == [
+        "kernel-composition", "gaussian-integral-identity",
+        "heisenberg-covariance"]
+
+
 def test_verify_reports_package_version():
     cfg = cli.default_config()
     cfg["suites"] = ["cz"]

@@ -22,8 +22,9 @@ frame entry point.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -71,10 +72,9 @@ class DiracContext:
     def lie_hat(self) -> np.ndarray:
         """Fourier coefficients of lie_mats, grid + (2n, F, F).
 
-        Built on first use, so one transform serves every spectrum and
-        symbol_check on this context.  Only the stored slots of the
-        row-sparse action are transformed; every other fiber entry is an
-        exact zero of every coefficient.
+        Built on first use; no operator reads it.  Only the stored slots of
+        the row-sparse action are transformed; every other fiber entry is
+        an exact zero of every coefficient.
         """
         act, torus = self.action, self.torus
         F = act.cols.shape[0]
@@ -85,6 +85,55 @@ class DiracContext:
         out = np.zeros(torus.grid_shape + (torus.dim, F, F), dtype=complex)
         out[..., rows, cols] = ge.mode_coefficients(torus, entries)
         return out
+
+    @cached_property
+    def p_hat(self) -> tuple:
+        """Fourier tables of A^p, A^s and [A^p, A^s], for the spectral blocks.
+
+        A^X(x) = sum_b contract[X][b] L_b(x), X = Dp (p) or Ds (s), with L_b
+        the fiber action of direction b.  Returns (table, where): table[m, e]
+        is the coefficient of flat grid mode m (row major, FFT order) of
+        entry e, and where[t, i, j] the entry holding fiber entry (i, j) of
+        A^p (t = 0), A^s (t = 1) or [A^p, A^s] (t = 2).  Only the entries
+        that the slot pattern of ctx.action can make non-zero are built and
+        transformed, in one call; where sends every other (i, j) to the last
+        column of table, which is zero.  Built on first use, so one transform
+        serves every spectrum and symbol_check on this context.
+        """
+        act, torus = self.action, self.torus
+        F = act.cols.shape[0]
+        rows, ks = act.slots
+        cols = act.cols[rows, ks]
+        # slot (r, c) of direction b adds S^X_b[i, r] coef to A^X[i, c]
+        weights = np.zeros((len(rows), torus.dim, 2, F, F), dtype=complex)
+        for t, name in enumerate(("Dp", "Ds")):
+            weights[np.arange(len(rows)), :, t, :, cols] = np.moveaxis(
+                self.contract[name][..., rows], -1, 0)
+        weights = weights.reshape(len(rows) * torus.dim, 2 * F * F)
+        keep = np.flatnonzero(weights.any(axis=0))
+        # the slot coefficients as (stored slots, 2n) x flat grid
+        entries = weights[:, keep].T @ act.coef[:, ks, ..., rows].reshape(
+            len(weights), torus.grid_size ** torus.dim)
+        t, i, j = np.unravel_index(keep, (2, F, F))
+        # [A^p, A^s] from the products A^X[i, h] A^Y[h, j] of entries of
+        # different tables, A^s A^p with a minus sign, summed per (i, j)
+        x, y = np.nonzero((j[:, None] == i) & (t[:, None] != t))
+        target = i[x] * F + j[y]
+        order = np.argsort(target, kind="stable")
+        x, y, target = x[order], y[order], target[order]
+        prods = entries[x]
+        prods *= entries[y]
+        prods *= np.where(t[x] == 0, 1.0, -1.0)[:, None]
+        comm, starts = np.unique(target, return_index=True)
+        entries = np.vstack([entries, np.add.reduceat(prods, starts, axis=0)])
+        where = np.full(3 * F * F, len(entries))
+        where[np.append(keep, 2 * F * F + comm)] = np.arange(len(entries))
+        table = np.zeros((entries.shape[1], len(entries) + 1), dtype=complex)
+        on_grid = np.ascontiguousarray(entries.T).reshape(
+            torus.grid_shape + (-1,))
+        table[:, :-1] = ge.mode_coefficients(torus, on_grid).reshape(
+            len(table), -1)
+        return table, where.reshape(3, F, F)
 
 
 def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:
@@ -385,51 +434,80 @@ def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
 # principal symbol and spectra
 
 
-def _mode_coupling(ctx: DiracContext, name: str, rows: np.ndarray,
-                   dst: np.ndarray, cols: np.ndarray,
-                   src: np.ndarray) -> np.ndarray:
-    """Fourier matrix of sum_b S_b nabla_b, S = ctx.contract[name].
+# the table entries _p_block gathers for one chunk of row modes take about
+# this many bytes
+_GATHER_BYTES = 2 ** 23
 
-    Maps (modes cols) x (fiber src) to (modes rows) x (fiber dst), mode
-    major and fiber minor on both sides; modes are grid index tuples in FFT
-    order and lhat = ctx.lie_hat.  The entry is
 
-        sum_b S_b[dst] (lhat_b((r - c) mod G)[:, src] + i k_{c,b} delta_rc),
-
-    a circular convolution, so it equals the grid operator aliasing included.
-    """
-    torus = ctx.torus
-    G, d = torus.grid_size, torus.dim
-    S = ctx.contract[name][:, dst]
-    # sum_b S_b lhat_b(m) at every mode m, then gathered at r - c
-    conv = np.einsum("bDF,...bFG->...DG", S, ctx.lie_hat[..., src])
-    conv = conv.reshape((G ** d,) + conv.shape[-2:])
-    # flat grid index of (r - c) mod G for every row and column mode
-    shift = sum((rows[:, None, a] - cols[None, :, a]) % G * G ** (d - 1 - a)
-                for a in range(d))
-    # one gather, straight into (rows, dst, cols, src) order
-    di, si = np.ix_(np.arange(len(dst)), np.arange(len(src)))
-    mat = conv[shift[:, None, :, None], di[:, None], si[:, None]]
-    # the derivative i k_{c,b} on the diagonal r = c
-    r, c = np.nonzero(shift == 0)
-    kc = ge.wavenumbers(torus)[cols[c]]
-    mat[r, :, c] += 1j * np.einsum("cb,bDG->cDG", kc, S[..., src])
-    return mat.reshape(len(rows) * len(dst), len(cols) * len(src))
+def _chunk_modes(n_modes: int, f: int, h: int) -> int:
+    """Row modes per chunk of _p_block on n_modes modes and f fiber
+    positions, h of them after D'' or D'.  Each mode pair gathers the f x f
+    entries of [A^p, A^s]^ and the h x f entries of each of U and V."""
+    return max(1, _GATHER_BYTES // (16 * n_modes * f * (f + 2 * h)))
 
 
 def _p_block(ctx: DiracContext, modes: np.ndarray, fiber: np.ndarray,
              lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Pi P Pi = 2(D' D'' - D'' D') on (modes) x (fiber), mode major.
 
-    The intermediate space is every grid mode times the fiber positions lo
-    (after D'') or hi (after D'), so the product is the grid operator's.
+    modes are grid index tuples in FFT order, and lo and hi the fiber
+    positions after D'' and after D' (the whole fiber when the connection
+    is not unitary).  With S^X = ctx.contract[X], K^X(k) = sum_b k_b S^X_b
+    and A^X as in ctx.p_hat, the Fourier matrix of sum_b S^X_b nabla_b has
+    entry i K^X(k_c) delta_rc + A^X^(r - c); in a product of two of them
+    each delta pins the intermediate mode, so
+
+        (X Y)(r, c) = -K^X(k_r) K^Y(k_r) delta_rc + i K^X(k_r) A^Y^(r - c)
+                      + i A^X^(r - c) K^Y(k_c) + (A^X A^Y)^(r - c).
+
+    (A^X A^Y)^ transforms the pointwise product on the grid, which is the
+    sum over every grid mode, aliasing included, so the block equals P
+    applied on the grid.  The tables are gathered at (r - c) mod G for a
+    chunk of row modes at a time.
     """
-    torus = ctx.torus
-    grid = np.indices(torus.grid_shape).reshape(torus.dim, -1).T
-    op = partial(_mode_coupling, ctx)
-    dp_ds = op("Dp", modes, fiber, grid, lo) @ op("Ds", grid, lo, modes, fiber)
-    ds_dp = op("Ds", modes, fiber, grid, hi) @ op("Dp", grid, hi, modes, fiber)
-    return 2.0 * (dp_ds - ds_dp)
+    table, where = ctx.p_hat
+    torus, F = ctx.torus, ctx.basis.dim
+    k = ge.wavenumbers(torus)[modes]
+    Kp, Ks = ((k @ ctx.contract[name].reshape(torus.dim, -1)).reshape(-1, F, F)
+              for name in ("Dp", "Ds"))
+    # P(r, c) / 2 = [A^p, A^s]^ + i krow_r U + i V sign kcol_c
+    #               - delta_rc krow_r kcol_r, all tables at r - c, with
+    # U = [A^s^ on (lo, fiber); A^p^ on (hi, fiber)] and
+    # V = [A^p^ on (fiber, lo) | A^s^ on (fiber, hi)]
+    krow = np.concatenate([Kp[:, fiber][..., lo], -Ks[:, fiber][..., hi]], 2)
+    kcol = np.concatenate([Ks[:, lo][..., fiber], Kp[:, hi][..., fiber]], 1)
+    sign = np.repeat([1.0, -1.0], [len(lo), len(hi)])[:, None]
+    ix = np.ix_
+    u_at = np.concatenate([where[1][ix(lo, fiber)], where[0][ix(hi, fiber)]])
+    v_at = np.concatenate([where[0][ix(fiber, lo)], where[1][ix(fiber, hi)]],
+                          1)
+    # the table entries each mode pair needs: [A^p, A^s]^, U and V
+    sub = table[:, np.concatenate([where[2][ix(fiber, fiber)].ravel(),
+                                   u_at.ravel(), v_at.ravel()])]
+    R, f, h = len(modes), len(fiber), len(lo) + len(hi)
+    out = np.empty((R, f, R, f), dtype=complex)
+    step = _chunk_modes(R, f, h)
+    for r0 in range(0, R, step):
+        rows = np.arange(r0, min(r0 + step, R))
+        # flat grid index of (r - c) mod G, (chunk rows, all columns)
+        shift = np.ravel_multi_index(
+            np.moveaxis((modes[rows, None] - modes[None]) % torus.grid_size,
+                        -1, 0), torus.grid_shape)
+        n = len(rows)
+        pair = np.take(sub, shift, axis=0)
+        U = pair[..., f * f:f * f + h * f].reshape(n, R, h, f)
+        V = pair[..., f * f + h * f:].reshape(n, R, f, h)
+        # krow_r U as one (f, h) @ (h, R f) product per row mode, and
+        # V sign kcol_c as one (n f, h) @ (h, f) product per column mode
+        by_row = krow[rows] @ U.transpose(0, 2, 1, 3).reshape(n, h, R * f)
+        by_col = V.transpose(1, 0, 2, 3).reshape(R, n * f, h) @ (sign * kcol)
+        part = pair[..., :f * f].reshape(n, R, f, f).transpose(0, 2, 1, 3)
+        part = part + 1j * (by_row.reshape(n, f, R, f)
+                            + by_col.reshape(R, n, f, f).transpose(1, 2, 0, 3))
+        part[np.arange(n), :, rows] -= krow[rows] @ kcol[rows]
+        out[rows] = part
+    out *= 2.0
+    return out.reshape(R * f, R * f)
 
 
 def symbol_check(ctx: DiracContext, kvec) -> tuple:
@@ -437,8 +515,10 @@ def symbol_check(ctx: DiracContext, kvec) -> tuple:
 
     Returns (blocks, expected) where blocks[d] is the degree-d fiber matrix
     of exp(-ik.x) P exp(ik.x) averaged over the torus and expected is the
-    scalar -g^{ab} k_a k_b / hbar; the gap is O(|k|) for unitary
-    connections and zero in the flat case.  k must be integral, since
+    scalar -g^{ab} k_a k_b / hbar.  The blocks are _p_block's on the one
+    mode k and the whole fiber, so any connection is taken.  The gap is
+    zero in the flat case; for a unitary connection the measured relative
+    gap falls like 1/|k|^2, an O(1) absolute gap.  k must be integral, since
     exp(ik.x) is a field on the torus only then, and within the grid's
     Nyquist index, since the grid aliases any larger k to a lower mode.
     """
@@ -460,17 +540,25 @@ def symbol_check(ctx: DiracContext, kvec) -> tuple:
     return blocks, expected
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def spectrum(ctx: DiracContext, degree: int) -> np.ndarray:
     """Eigenvalues of P on the band-limited degree-(degree) block.
 
     The block is spanned by plane waves within the torus cutoff tensored
     with the degree-d fiber monomials (a Galerkin restriction; exact for
-    connections within the band budget).  It is assembled from the Fourier
-    coefficients of the connection's fiber matrices, with every grid mode
-    in the intermediate space, so it equals P applied on the grid.  The top
-    fiber degree is excluded because the degree cap distorts [D', D'']
-    there, and a non-unitary connection is refused because no single
-    degree block is invariant.
+    connections within the band budget).  _p_block assembles it from the
+    three Fourier tables of ctx.p_hat: A^p, A^s and their pointwise
+    commutator, gathered at the mode differences, so it equals P applied
+    on the grid.  The top fiber degree is excluded because the degree cap
+    distorts [D', D''] there, and a non-unitary connection is refused
+    because no single degree block is invariant.  Before assembling, the
+    bytes of the block, its gathers and the eigensolver's copy of it are
+    estimated, and a block that would not fit the machine's physical memory
+    is refused with ValueError.
     """
     if not ctx.conn.unitary:
         raise ValueError("per-degree spectra need a unitary connection: P"
@@ -489,6 +577,17 @@ def spectrum(ctx: DiracContext, degree: int) -> np.ndarray:
     # and D' in degree d + 1; every other fiber row is zero
     lo, fiber, hi = (np.nonzero(basis.degrees == degree + s)[0]
                      for s in (-1, 0, 1))
+    R, f, h = len(modes), len(fiber), len(lo) + len(hi)
+    # the block and the eigensolver's copy of it, one chunk's gathers with
+    # their index arrays, copies and products, and the solver's O(dim) work
+    need = 16 * (2 * (R * f) ** 2 + 64 * R * f
+                 + 4 * _chunk_modes(R, f, h) * R * f * (f + 2 * h))
+    have = _physical_memory()
+    if need > have:
+        raise ValueError(
+            f"the degree-{degree} block of dimension {R * f} needs about"
+            f" {need / 2 ** 20:,.0f} MiB, more than the {have / 2 ** 20:,.0f}"
+            " MiB of physical memory")
     mat = _p_block(ctx, modes, fiber, lo, hi)
     eig = np.linalg.eigvals(mat)
     return eig[np.lexsort((eig.imag, eig.real))]

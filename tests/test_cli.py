@@ -13,6 +13,7 @@ import scipy
 
 import sympdirac
 from sympdirac import checks, cli
+from sympdirac import dirac as dr
 
 
 def flat_config(M=2, N=4):
@@ -375,6 +376,20 @@ def test_spectrum_refuses_non_unitary_connection(tmp_path, capsys):
     assert cli.main(["spectrum", "--config", str(path),
                      "--degrees", "0"]) == 2
     assert "unitary" in capsys.readouterr().err
+
+
+def test_spectrum_block_beyond_physical_memory_exits_2(tmp_path, capsys,
+                                                       monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(flat_config(M=2, N=4)))
+    monkeypatch.setattr(dr, "_physical_memory", lambda: 2 ** 10)
+    assert cli.main(["spectrum", "--config", str(path),
+                     "--degrees", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"block of dimension 25 needs about .* MiB",
+                     captured.err)
+    assert "physical memory" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -698,3 +698,86 @@ def test_spectra_and_symbol_share_one_transform(monkeypatch):
     dr.spectrum(ctx, 1)
     dr.symbol_check(ctx, [1, 0])
     assert len(calls) == 1
+
+
+def _galerkin_modes(torus):
+    k = ge.wavenumbers(torus)
+    inside = np.nonzero(np.abs(k) <= torus.cutoff)[0]
+    return np.array(list(product(inside, repeat=torus.dim)), dtype=int)
+
+
+@pytest.mark.parametrize("n, cutoff, max_degree, degrees",
+                         [(1, 2, 4, (0, 1, 2, 3)), (2, 1, 3, (0, 1))])
+def test_galerkin_block_matches_P_op_entrywise(n, cutoff, max_degree,
+                                                degrees):
+    # column (c, g) of the block is P on exp(i k_c.x) e_g, read off by FFT
+    # at every row mode r and fiber position f
+    ctx = mode_setup(n, cutoff, max_degree)
+    assert ctx.conn.unitary and np.abs(ctx.tau).max() > 1e-3
+    modes = _galerkin_modes(ctx.torus)
+    kvecs = ge.wavenumbers(ctx.torus)[modes]
+    for degree in degrees:
+        lo, fiber, hi = (np.nonzero(ctx.basis.degrees == degree + s)[0]
+                         for s in (-1, 0, 1))
+        rows = (*modes.T[:, :, None], fiber[None, :])
+        want = np.array([
+            ge.mode_coefficients(ctx.torus, dr.P_op(
+                ctx, plane_wave_spinor(ctx, kv, g)).values)[rows].ravel()
+            for kv in kvecs for g in fiber]).T
+        got = dr._p_block(ctx, modes, fiber, lo, hi)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, kvecs", [(1, ([2, -1], [0, 3])),
+                                      (2, ([1, 0, -1, 1], [2, 2, 0, -1]))])
+def test_symbol_block_matches_demodulated_P_op(n, kvecs):
+    # a non-unitary connection couples degree d to d +/- 2, so the whole
+    # fiber enters both the block and the intermediate space
+    ctx, _ = make_setup(n=n, cutoff=3 if n == 1 else 1, max_degree=4,
+                        kind="general")
+    assert not ctx.conn.unitary
+    x = ge.grid_points(ctx.torus)
+    fiber = np.arange(ctx.basis.dim)
+    for kv in kvecs:
+        wave = np.exp(-1j * (x @ np.array(kv, dtype=float)))
+        want = np.array([
+            np.mean(dr.P_op(ctx, plane_wave_spinor(ctx, kv, g)).values
+                    * wave[..., None], axis=tuple(range(ctx.torus.dim)))
+            for g in fiber]).T
+        mode = (np.array(kv) % ctx.torus.grid_size)[None]
+        got = dr._p_block(ctx, mode, fiber, fiber, fiber)
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= 1e-12 * scale
+        off = ctx.basis.degrees[:, None] != ctx.basis.degrees[None]
+        assert np.abs(want[off]).max() > 1e-3 * scale
+        blocks, _ = dr.symbol_check(ctx, kv)
+        for d, block in enumerate(blocks):
+            idx = np.nonzero(ctx.basis.degrees == d)[0]
+            assert np.array_equal(block, got[np.ix_(idx, idx)])
+
+
+def test_spectrum_peak_memory_at_n2_m2():
+    # the benchmark's fields size, degree 1: a 1250 x 1250 block; the
+    # tables hold 117 of the 3 x 225 fiber entries, and the gathers go a
+    # chunk of row modes at a time
+    t = ge.torus_model(sl.standard_model(2, hbar=0.7), 2)
+    conn = ge.random_connection(t, np.random.default_rng(RNG_SEED), cutoff=1,
+                                unitary=True)
+    ctx = dr.make_context(conn, fk.fock_basis(2, 4))
+    tracemalloc.start()
+    try:
+        eig = dr.spectrum(ctx, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eig.shape == (1250,) and np.isfinite(eig).all()
+    assert peak < 128 * 2 ** 20
+
+
+def test_spectrum_refuses_a_block_larger_than_physical_memory(monkeypatch):
+    ctx, _ = make_setup(n=1, cutoff=2, max_degree=3)
+    assert dr.spectrum(ctx, 1).shape == (25,)
+    # a 25 x 25 block and its copy take 20,000 bytes
+    monkeypatch.setattr(dr, "_physical_memory", lambda: 20_000)
+    with pytest.raises(ValueError, match="physical memory"):
+        dr.spectrum(ctx, 1)

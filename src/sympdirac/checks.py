@@ -218,8 +218,6 @@ def _check_covariance(setup, rng):
 
 
 def _lie_fd_residuals(setup, rng):
-    from scipy.linalg import expm
-
     m, B = setup.model, setup.basis
     # a path over the unitary group (the arm with an exact fiber action)
     K = rng.normal(size=(m.n, m.n)) + 1j * rng.normal(size=(m.n, m.n))
@@ -232,7 +230,7 @@ def _lie_fd_residuals(setup, rng):
 
     def fd(t):
         def elem(s):
-            pair = sl.cz_decompose(m, expm(s * xi))
+            pair = sl.cz_decompose(m, sl.expm(s * xi))
             return mpc.mpc_element(m, pair, np.exp(s * mu))
 
         up = mpc.muc_apply(m, B, elem(t), f).coeffs

@@ -22,7 +22,6 @@ import math
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from . import __version__, checks
@@ -153,6 +152,8 @@ def emit_schema() -> str:
 @functools.cache
 def _validator():
     """The config validator, its schema checked once per process."""
+    import jsonschema
+
     cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
     cls.check_schema(CONFIG_SCHEMA)
     return cls(CONFIG_SCHEMA)
@@ -160,6 +161,8 @@ def _validator():
 
 def build_setup(config: dict) -> checks.RunSetup:
     """Validated setup; integer fields are cast, as the schema admits 1.0."""
+    import jsonschema
+
     error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
     if error is not None:
         raise ConfigError(f"config rejected by schema: {error.message}") \

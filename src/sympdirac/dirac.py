@@ -103,27 +103,15 @@ class DiracContext:
         act, torus = self.action, self.torus
         F = act.cols.shape[0]
         rows, ks = act.slots
-        cols = act.cols[rows, ks]
-        # slot (r, c) of direction b adds S^X_b[i, r] coef to A^X[i, c]
-        weights = np.zeros((len(rows), torus.dim, 2, F, F), dtype=complex)
-        for t, name in enumerate(("Dp", "Ds")):
-            weights[np.arange(len(rows)), :, t, :, cols] = np.moveaxis(
-                self.contract[name][..., rows], -1, 0)
-        weights = weights.reshape(len(rows) * torus.dim, 2 * F * F)
-        keep = np.flatnonzero(weights.any(axis=0))
+        weights, keep, x, y, target = _p_hat_pattern(self)
         # the slot coefficients as (stored slots, 2n) x flat grid
         entries = weights[:, keep].T @ act.coef[:, ks, ..., rows].reshape(
             len(weights), torus.grid_size ** torus.dim)
-        t, i, j = np.unravel_index(keep, (2, F, F))
         # [A^p, A^s] from the products A^X[i, h] A^Y[h, j] of entries of
         # different tables, A^s A^p with a minus sign, summed per (i, j)
-        x, y = np.nonzero((j[:, None] == i) & (t[:, None] != t))
-        target = i[x] * F + j[y]
-        order = np.argsort(target, kind="stable")
-        x, y, target = x[order], y[order], target[order]
         prods = entries[x]
         prods *= entries[y]
-        prods *= np.where(t[x] == 0, 1.0, -1.0)[:, None]
+        prods *= np.where(keep[x] < F * F, 1.0, -1.0)[:, None]
         comm, starts = np.unique(target, return_index=True)
         entries = np.vstack([entries, np.add.reduceat(prods, starts, axis=0)])
         where = np.full(3 * F * F, len(entries))
@@ -134,6 +122,52 @@ class DiracContext:
         table[:, :-1] = ge.mode_coefficients(torus, on_grid).reshape(
             len(table), -1)
         return table, where.reshape(3, F, F)
+
+
+def _p_hat_pattern(ctx: DiracContext) -> tuple:
+    """The fiber entries of ctx.p_hat, from the slot pattern of ctx.action.
+
+    Returns (weights, keep, x, y, target): weights[(slot, b), e] is the
+    coefficient of slot (r, c) of direction b in flat entry e = (t, i, j)
+    of (A^p, A^s), t = 0 or 1; keep lists the entries some slot reaches;
+    and the commutator entry target[m] = i F + j sums the products
+    keep[x[m]] keep[y[m]] of entries (t, i, h) and (1 - t, h, j), with a
+    minus sign for t = 1, sorted by target.  No array here has a grid axis.
+    """
+    act = ctx.action
+    F = act.cols.shape[0]
+    rows, ks = act.slots
+    cols = act.cols[rows, ks]
+    # slot (r, c) of direction b adds S^X_b[i, r] coef to A^X[i, c]
+    weights = np.zeros((len(rows), ctx.torus.dim, 2, F, F), dtype=complex)
+    for t, name in enumerate(("Dp", "Ds")):
+        weights[np.arange(len(rows)), :, t, :, cols] = np.moveaxis(
+            ctx.contract[name][..., rows], -1, 0)
+    weights = weights.reshape(len(rows) * ctx.torus.dim, 2 * F * F)
+    keep = np.flatnonzero(weights.any(axis=0))
+    t, i, j = np.unravel_index(keep, (2, F, F))
+    x, y = np.nonzero((j[:, None] == i) & (t[:, None] != t))
+    target = i[x] * F + j[y]
+    order = np.argsort(target, kind="stable")
+    return weights, keep, x[order], y[order], target[order]
+
+
+def _p_hat_build_bytes(ctx: DiracContext) -> int:
+    """Peak bytes of building ctx.p_hat, bounded from ctx.action's slots.
+
+    Counted in grid-sized complex arrays: W gathered slot rows, E kept
+    entries, X entry products and C commutator entries.  The build holds
+    at most W + E of them while it contracts the slots, E + 2X while it
+    multiplies, 2E + X + 2C while it stacks, and X + 5(E + C) + 1 while it
+    transforms (the products, the stacked entries, their copy on the grid,
+    two FFT buffers and the table).  The weights, and as much again for
+    index arrays and FFT scratch, come on top.
+    """
+    weights, keep, x, _, target = _p_hat_pattern(ctx)
+    W, E, X, C = len(weights), len(keep), len(x), len(np.unique(target))
+    arrays = max(W + E, E + 2 * X, 2 * E + X + 2 * C, X + 5 * (E + C) + 1)
+    return (16 * ctx.torus.grid_size ** ctx.torus.dim * arrays
+            + 2 * weights.nbytes)
 
 
 def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:
@@ -545,6 +579,50 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+# real or imaginary parts of eigenvalues closer than this times the largest
+# modulus count as equal when a spectrum is sorted
+SORT_RTOL = 1e-9
+
+
+def _sorted_eigenvalues(eig: np.ndarray) -> np.ndarray:
+    """eig in ascending (real, imaginary) order, stable under rounding.
+
+    Each part is replaced by the rank of its cluster: the sorted values of
+    that part split wherever two neighbours differ by more than SORT_RTOL
+    max |eig|.  Eigenvalues that agree to rounding in the real part then
+    order by imaginary part, whichever way rounding went in an assembly;
+    a tie in both clusters falls back to the exact parts.
+    """
+    if eig.size == 0:
+        return eig
+    tol = SORT_RTOL * np.abs(eig).max()
+
+    def cluster(part):
+        order = np.argsort(part, kind="stable")
+        rank = np.empty(len(part), dtype=int)
+        rank[order] = np.cumsum(np.diff(part[order], prepend=part[order[0]])
+                                > tol)
+        return rank
+
+    return eig[np.lexsort((eig.imag, eig.real, cluster(eig.imag),
+                           cluster(eig.real)))]
+
+
+def _spectrum_bytes(ctx: DiracContext, R: int, f: int, h: int) -> int:
+    """Bytes spectrum needs for the block on R modes and f fiber positions,
+    h of them after D'' or D'.
+
+    The block and the eigensolver's copy of it, one chunk's gathers with
+    their index arrays, copies and products, and the solver's O(dim) work;
+    plus the build of ctx.p_hat when this context has not built it yet.
+    """
+    need = 16 * (2 * (R * f) ** 2 + 64 * R * f
+                 + 4 * _chunk_modes(R, f, h) * R * f * (f + 2 * h))
+    if "p_hat" not in vars(ctx):
+        need += _p_hat_build_bytes(ctx)
+    return need
+
+
 def spectrum(ctx: DiracContext, degree: int) -> np.ndarray:
     """Eigenvalues of P on the band-limited degree-(degree) block.
 
@@ -556,9 +634,10 @@ def spectrum(ctx: DiracContext, degree: int) -> np.ndarray:
     on the grid.  The top fiber degree is excluded because the degree cap
     distorts [D', D''] there, and a non-unitary connection is refused
     because no single degree block is invariant.  Before assembling, the
-    bytes of the block, its gathers and the eigensolver's copy of it are
-    estimated, and a block that would not fit the machine's physical memory
-    is refused with ValueError.
+    bytes of the block, its gathers, the eigensolver's copy of it and, on
+    the context's first spectrum, the build of ctx.p_hat are estimated, and
+    a block that would not fit the machine's physical memory is refused
+    with ValueError.  The eigenvalues come sorted by _sorted_eigenvalues.
     """
     if not ctx.conn.unitary:
         raise ValueError("per-degree spectra need a unitary connection: P"
@@ -578,10 +657,7 @@ def spectrum(ctx: DiracContext, degree: int) -> np.ndarray:
     lo, fiber, hi = (np.nonzero(basis.degrees == degree + s)[0]
                      for s in (-1, 0, 1))
     R, f, h = len(modes), len(fiber), len(lo) + len(hi)
-    # the block and the eigensolver's copy of it, one chunk's gathers with
-    # their index arrays, copies and products, and the solver's O(dim) work
-    need = 16 * (2 * (R * f) ** 2 + 64 * R * f
-                 + 4 * _chunk_modes(R, f, h) * R * f * (f + 2 * h))
+    need = _spectrum_bytes(ctx, R, f, h)
     have = _physical_memory()
     if need > have:
         raise ValueError(
@@ -589,5 +665,4 @@ def spectrum(ctx: DiracContext, degree: int) -> np.ndarray:
             f" {need / 2 ** 20:,.0f} MiB, more than the {have / 2 ** 20:,.0f}"
             " MiB of physical memory")
     mat = _p_block(ctx, modes, fiber, lo, hi)
-    eig = np.linalg.eigvals(mat)
-    return eig[np.lexsort((eig.imag, eig.real))]
+    return _sorted_eigenvalues(np.linalg.eigvals(mat))

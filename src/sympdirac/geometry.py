@@ -21,6 +21,7 @@ action preserves polynomial degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -126,8 +127,9 @@ def partial_derivative(torus: TorusModel, field: np.ndarray,
 def mode_coefficients(torus: TorusModel, field: np.ndarray) -> np.ndarray:
     """Fourier coefficients over the leading 2n axes (trailing axes pass)."""
     axes = tuple(range(torus.dim))
-    return np.fft.fftn(np.asarray(field, dtype=complex), axes=axes) / (
-        torus.grid_size ** torus.dim)
+    spec = np.fft.fftn(np.asarray(field, dtype=complex), axes=axes)
+    spec /= torus.grid_size ** torus.dim
+    return spec
 
 
 def band_mass_outside(torus: TorusModel, field: np.ndarray,
@@ -167,33 +169,59 @@ def _reflect_conj(spec: np.ndarray, axes: tuple) -> np.ndarray:
     return np.conj(out)
 
 
-def random_scalar_field(torus: TorusModel, rng: np.random.Generator,
-                        cutoff: int | None = None, scale: float = 1.0,
-                        imaginary: bool = False) -> np.ndarray:
-    """Random real (or purely imaginary) trig polynomial with the given band."""
+def _band(torus: TorusModel, cutoff: int | None) -> np.ndarray:
+    """Grid indices of the wavenumbers |k| <= cutoff (default: the torus's)."""
     c = torus.cutoff if cutoff is None else cutoff
     if c > torus.nyquist:
         raise ValueError("cutoff exceeds the grid Nyquist index")
-    G, d = torus.grid_size, torus.dim
-    k = wavenumbers(torus)
-    sel = np.where(np.abs(k) <= c)[0]
-    spec = np.zeros((G,) * d, dtype=complex)
-    block = rng.normal(size=(len(sel),) * d) + 1j * rng.normal(size=(len(sel),) * d)
-    spec[np.ix_(*([sel] * d))] = block
-    axes = tuple(range(d))
+    return np.where(np.abs(wavenumbers(torus)) <= c)[0]
+
+
+def _draw_band(torus: TorusModel, rng: np.random.Generator,
+               cutoff: int | None, shape: tuple = ()) -> np.ndarray:
+    """Gaussian band coefficients of random scalar fields, shape + (s,) * 2n.
+
+    Each field draws its real block, then its imaginary block; a batch makes
+    the draws of consecutive single fields in C order.
+    """
+    block = (len(_band(torus, cutoff)),) * torus.dim
+    pairs = rng.normal(size=(math.prod(shape), 2) + block)
+    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(tuple(shape) + block)
+
+
+def _synthesize(torus: TorusModel, band: np.ndarray, cutoff: int | None,
+                scale: float = 1.0) -> np.ndarray:
+    """Real trig polynomials from band coefficients with leading batch axes.
+
+    One ifftn over the grid axes serves the whole batch; each field is then
+    scaled to peak |f| = scale (a zero field stays zero).
+    """
+    d = torus.dim
+    spec = np.zeros(band.shape[:-d] + torus.grid_shape, dtype=complex)
+    spec[(...,) + np.ix_(*([_band(torus, cutoff)] * d))] = band
+    axes = tuple(range(-d, 0))
     spec = 0.5 * (spec + _reflect_conj(spec, axes))
-    f = np.fft.ifftn(spec).real
-    peak = np.abs(f).max()
-    if peak > 0:
-        f = f * (scale / peak)
+    f = np.fft.ifftn(spec, axes=axes).real
+    peak = np.abs(f).max(axis=axes, keepdims=True)
+    return f * np.divide(scale, peak, out=np.ones_like(peak), where=peak > 0)
+
+
+def random_scalar_field(torus: TorusModel, rng: np.random.Generator,
+                        cutoff: int | None = None, scale: float = 1.0,
+                        imaginary: bool = False, shape: tuple = ()) -> np.ndarray:
+    """Random real (or purely imaginary) trig polynomial with the given band.
+
+    A batch of the given shape (leading axes) makes consecutive single draws
+    in C order and equals consecutive single calls bit for bit.
+    """
+    f = _synthesize(torus, _draw_band(torus, rng, cutoff, shape), cutoff, scale)
     return 1j * f if imaginary else f
 
 
 def random_vector_field(torus: TorusModel, rng: np.random.Generator,
                         cutoff: int | None = None) -> np.ndarray:
-    comps = [random_scalar_field(torus, rng, cutoff)
-             for _ in range(torus.dim)]
-    return np.stack(comps, axis=-1)
+    comps = random_scalar_field(torus, rng, cutoff, shape=(torus.dim,))
+    return np.moveaxis(comps, 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +302,29 @@ def random_connection(torus: TorusModel, rng: np.random.Generator,
 
     Gamma_b is 0.3 (f_1 xi_1 + f_2 xi_2) with f_i random real scalar fields
     of the given cutoff and xi_i Gaussian matrices in u(n) (unitary) or in
-    sp(2n, R); then a_b is 0.3 i g for one more such scalar field g.
+    sp(2n, R); then a_b is 0.3 i g for one more such scalar field g.  The
+    draws keep that order; the 6n scalar fields are synthesised as one batch.
     """
     m = torus.model
     d = torus.dim
-    Gamma = np.zeros((d,) + torus.grid_shape + (d, d))
-    a = np.zeros((d,) + torus.grid_shape, dtype=complex)
-    for b in range(d):
+    xis, bands = [], []
+    for _ in range(d):
         for _ in range(2):
             if unitary:
                 K = rng.normal(size=(m.n, m.n)) + 1j * rng.normal(size=(m.n, m.n))
-                xi = sl.real_matrix(m, 0.5 * (K - K.conj().T))
+                xis.append(sl.real_matrix(m, 0.5 * (K - K.conj().T)))
             else:
-                xi = sl.random_sp_algebra(m, rng)
-            Gamma[b] += 0.3 * random_scalar_field(
-                torus, rng, cutoff)[..., None, None] * xi
-        a[b] = 0.3 * random_scalar_field(torus, rng, cutoff, imaginary=True)
+                xis.append(sl.random_sp_algebra(m, rng))
+            bands.append(_draw_band(torus, rng, cutoff))
+        bands.append(_draw_band(torus, rng, cutoff))
+    f = _synthesize(torus, np.stack(bands), cutoff).reshape(
+        (d, 3) + torus.grid_shape)
+    Gamma = np.zeros((d,) + torus.grid_shape + (d, d))
+    a = np.zeros((d,) + torus.grid_shape, dtype=complex)
+    for b in range(d):
+        for i in range(2):
+            Gamma[b] += 0.3 * f[b, i][..., None, None] * xis[2 * b + i]
+        a[b] = 0.3 * (1j * f[b, 2])
     return make_connection(torus, Gamma, a)
 
 
@@ -508,9 +543,9 @@ def random_spinor_field(torus: TorusModel, basis: fk.FockBasis,
     vals = np.zeros(torus.grid_shape + (basis.dim,), dtype=complex)
     keep = (basis.degrees <= max_degree) if max_degree is not None \
         else np.ones(basis.dim, dtype=bool)
-    for i in np.nonzero(keep)[0]:
-        vals[..., i] = (random_scalar_field(torus, rng, cutoff)
-                        + 1j * random_scalar_field(torus, rng, cutoff))
+    idx = np.nonzero(keep)[0]
+    parts = random_scalar_field(torus, rng, cutoff, shape=(len(idx), 2))
+    vals[..., idx] = np.moveaxis(parts[:, 0] + 1j * parts[:, 1], 0, -1)
     return spinor_field(torus, basis, vals)
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import fock as fk
 from . import symplinalg as sl
@@ -99,7 +98,7 @@ def random_mpc(model: SymplecticModel, rng: np.random.Generator,
         X[idx] = rng.standard_normal((d, d))
         if not metaplectic:
             phase[idx] = rng.uniform(0, 2 * np.pi)
-    g = expm(sl.sp_algebra_from_gaussian(model, X, scale))
+    g = sl.expm(sl.sp_algebra_from_gaussian(model, X, scale))
     pair = sl.cz_decompose(model, g)
     det = np.linalg.det(sl.complex_matrix(model, pair.C))
     if metaplectic:
@@ -274,7 +273,7 @@ def lie_group_kernel_residual(model: SymplecticModel, x: MpcLieElement,
     rng = np.random.default_rng(0)
 
     def element(s: float) -> MpcElement:
-        pair = sl.cz_decompose(model, expm(s * x.xi))
+        pair = sl.cz_decompose(model, sl.expm(s * x.xi))
         det = np.linalg.det(sl.complex_matrix(model, pair.C))
         return mpc_element(model, pair, np.exp(s * x.mu) / np.sqrt(abs(det)))
 

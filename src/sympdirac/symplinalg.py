@@ -31,11 +31,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 # Construction-time tolerance for structural invariants (symplecticity,
 # block symmetry, the (C, Z) compatibility relation 1 - Z^2 = (C* C)^{-1}).
 ATOL_STRUCT = 1e-10
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential over the last two axes; batched.
+
+    SciPy loads on the first call, so code that never exponentiates a group
+    element (the Dirac layer, spectra) runs on NumPy alone.
+    """
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(A)
 
 
 def unbatch(x):

@@ -781,3 +781,59 @@ def test_spectrum_refuses_a_block_larger_than_physical_memory(monkeypatch):
     monkeypatch.setattr(dr, "_physical_memory", lambda: 20_000)
     with pytest.raises(ValueError, match="physical memory"):
         dr.spectrum(ctx, 1)
+
+
+def _degree_sizes(ctx, degree):
+    """(R, f, h) of the degree block: modes, fiber positions, and fiber
+    positions one degree below or above."""
+    count = [int(np.count_nonzero(ctx.basis.degrees == d))
+             for d in (degree - 1, degree, degree + 1)]
+    return len(_galerkin_modes(ctx.torus)), count[1], count[0] + count[2]
+
+
+def test_spectrum_memory_guard_counts_the_first_table_build(monkeypatch):
+    fresh, built = (make_setup(n=2, cutoff=1, max_degree=3)[0]
+                    for _ in range(2))
+    built.p_hat
+    sizes = _degree_sizes(fresh, 1)
+    lean = dr._spectrum_bytes(built, *sizes)
+    build = dr._p_hat_build_bytes(fresh)
+    assert dr._spectrum_bytes(fresh, *sizes) == lean + build
+    monkeypatch.setattr(dr, "_physical_memory", lambda: lean + build // 2)
+    with pytest.raises(ValueError, match="physical memory"):
+        dr.spectrum(fresh, 1)
+    assert "p_hat" not in vars(fresh)
+    assert np.isfinite(dr.spectrum(built, 1)).all()
+
+
+@pytest.mark.parametrize("n, cutoff, max_degree", [(1, 4, 5), (2, 2, 4)])
+def test_p_hat_build_bytes_bound_the_traced_build(n, cutoff, max_degree):
+    t = ge.torus_model(sl.standard_model(n, hbar=0.7), cutoff)
+    conn = ge.random_connection(t, np.random.default_rng(RNG_SEED), cutoff=1,
+                                unitary=True)
+    ctx = dr.make_context(conn, fk.fock_basis(n, max_degree))
+    bound = dr._p_hat_build_bytes(ctx)
+    tracemalloc.start()
+    try:
+        ctx.p_hat
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound <= 1.5 * peak
+
+
+def test_spectrum_order_is_stable_under_rounding():
+    # conjugate pairs, each twice, and real eigenvalues, as P's spectra hold
+    # them; rounding-level jitter and any input order give one order
+    rng = np.random.default_rng(RNG_SEED)
+    base = 20 * rng.normal(size=6) + 1j * rng.normal(size=6)
+    eig = np.concatenate([base, base, base.conj(), base.conj(), base.real])
+    want = dr._sorted_eigenvalues(eig)
+    assert np.all(np.diff(want.real) >= -1e-12)
+    scale = np.abs(eig).max()
+    for _ in range(20):
+        jitter = 1e-13 * scale * (rng.normal(size=eig.shape)
+                                  + 1j * rng.normal(size=eig.shape))
+        got = dr._sorted_eigenvalues(rng.permutation(eig + jitter))
+        assert np.abs(got - want).max() < 1e-12 * scale
+    assert dr._sorted_eigenvalues(np.array([], dtype=complex)).size == 0

@@ -101,6 +101,19 @@ def test_random_scalar_field_band_and_reality():
         ge.random_scalar_field(t, rng, cutoff=t.nyquist + 1)
 
 
+@pytest.mark.parametrize("n, cutoff, grid", [(1, 4, None), (1, 4, 25),
+                                             (2, 2, None)])
+def test_random_scalar_field_batch_equals_single_calls(n, cutoff, grid):
+    t = small_torus(n=n, cutoff=cutoff, grid=grid)
+    one, many = (np.random.default_rng(RNG_SEED) for _ in range(2))
+    singles = np.array([[ge.random_scalar_field(t, one, cutoff=1, scale=0.4)
+                         for _ in range(2)] for _ in range(3)])
+    batch = ge.random_scalar_field(t, many, cutoff=1, scale=0.4, shape=(3, 2))
+    assert batch.shape == (3, 2) + t.grid_shape
+    assert batch.tobytes() == singles.tobytes()
+    assert one.bit_generator.state == many.bit_generator.state
+
+
 def test_mode_coefficients_roundtrip():
     t = small_torus()
     rng = np.random.default_rng(RNG_SEED + 1)

@@ -113,15 +113,19 @@ class DiracContext:
         prods *= entries[y]
         prods *= np.where(keep[x] < F * F, 1.0, -1.0)[:, None]
         comm, starts = np.unique(target, return_index=True)
-        entries = np.vstack([entries, np.add.reduceat(prods, starts, axis=0)])
-        where = np.full(3 * F * F, len(entries))
-        where[np.append(keep, 2 * F * F + comm)] = np.arange(len(entries))
-        table = np.zeros((entries.shape[1], len(entries) + 1), dtype=complex)
-        on_grid = np.ascontiguousarray(entries.T).reshape(
-            torus.grid_shape + (-1,))
-        table[:, :-1] = ge.mode_coefficients(torus, on_grid).reshape(
-            len(table), -1)
-        return table, where.reshape(3, F, F)
+        # the entries, their commutators and a zero column, stacked
+        # grid-major, so the transform's result is the table itself
+        E, C = len(keep), len(comm)
+        stacked = np.zeros((entries.shape[1], E + C + 1), dtype=complex)
+        stacked[:, :E] = entries.T
+        del entries
+        stacked[:, E:-1] = np.add.reduceat(prods, starts, axis=0).T
+        del prods
+        where = np.full(3 * F * F, E + C)
+        where[np.append(keep, 2 * F * F + comm)] = np.arange(E + C)
+        table = ge.mode_coefficients(
+            torus, stacked.reshape(torus.grid_shape + (-1,)))
+        return table.reshape(len(stacked), -1), where.reshape(3, F, F)
 
 
 def _p_hat_pattern(ctx: DiracContext) -> tuple:
@@ -156,16 +160,18 @@ def _p_hat_build_bytes(ctx: DiracContext) -> int:
     """Peak bytes of building ctx.p_hat, bounded from ctx.action's slots.
 
     Counted in grid-sized complex arrays: W gathered slot rows, E kept
-    entries, X entry products and C commutator entries.  The build holds
-    at most W + E of them while it contracts the slots, E + 2X while it
-    multiplies, 2E + X + 2C while it stacks, and X + 5(E + C) + 1 while it
-    transforms (the products, the stacked entries, their copy on the grid,
-    two FFT buffers and the table).  The weights, and as much again for
-    index arrays and FFT scratch, come on top.
+    entries, X entry products, C commutator entries and S = E + C + 1
+    table columns.  The build holds at most W + E of them while it
+    contracts the slots, E + 2X while it multiplies, E + X + S and then
+    X + C + S while it stacks, and 3S while it transforms (the stacked
+    entries and two FFT buffers, the last of which is the table).  The
+    weights, and as much again for index arrays and FFT scratch, come on
+    top.
     """
     weights, keep, x, _, target = _p_hat_pattern(ctx)
     W, E, X, C = len(weights), len(keep), len(x), len(np.unique(target))
-    arrays = max(W + E, E + 2 * X, 2 * E + X + 2 * C, X + 5 * (E + C) + 1)
+    S = E + C + 1
+    arrays = max(W + E, E + 2 * X, E + X + S, X + C + S, 3 * S)
     return (16 * ctx.torus.grid_size ** ctx.torus.dim * arrays
             + 2 * weights.nbytes)
 

@@ -268,6 +268,17 @@ def combo_inner(model: SymplecticModel, c1: CoherentCombo, c2: CoherentCombo) ->
     return complex(c1.coeffs @ gram @ c2.coeffs.conj())
 
 
+def combo_log_norm(model: SymplecticModel, c: CoherentCombo) -> float:
+    """log |c|, from the Gram matrix of combo_inner(c, c) divided by its
+    largest entry exp(max |v_i|^2/2hbar) (log-sum-exp), so it stays finite
+    where |c|^2 itself overflows (small hbar)."""
+    v = vec_to_complex(model, c.centers)
+    expo = v.conj() @ v.T / (2.0 * model.hbar)
+    shift = expo.real.max()
+    scaled = (c.coeffs @ np.exp(expo - shift) @ c.coeffs.conj()).real
+    return 0.5 * (shift + float(np.log(scaled)))
+
+
 def combo_eval(model: SymplecticModel, c: CoherentCombo, z: np.ndarray):
     vals = sum(a * coherent_eval(model, v, z) for a, v in zip(c.coeffs, c.centers))
     return vals

@@ -443,8 +443,9 @@ def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergEle
     goes through U_j once, giving coeffs_j and conj(c_j); at a tensor node
     z = (x_a, y_b) the kernel coeffs_j exp((x_a + i y_b) conj(c_j)/2hbar)
     factors as coeffs_j Ex[a, j] Ey[b, j].  The double sum over the grid is
-    then one (samples * Q, Q) @ (Q, Q^2) product followed by a contraction
-    over b, on Q x Q^2 exponentials instead of Q^2 x Q^2.
+    then, for one sample pair at a time, a (Q, Q) @ (Q, Q^2) product
+    followed by a contraction over b: the largest temporary is one Q x Q^2
+    array besides the tables Ex and Ey.
     """
     if model.n != 1:
         raise ValueError("implemented for n = 1 only")
@@ -455,16 +456,23 @@ def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergEle
     kinv = gaussian_kernel_fn(model, mpc_kernel(model, mpc_inverse(model, u)))
     nodes, weights = _hermite_rule(quad_order, np.sqrt(2.0 * model.hbar))
     coeffs, cc = _uj_route(model, h, nodes)
-    x = nodes[::quad_order, 0, None]  # node (a, b) sits at (x_a, y_b)
-    y = nodes[:quad_order, 1, None]
-    Ex = np.exp(x * cc[:, 0] / (2.0 * model.hbar))
-    Ey = np.exp(1j * y * cc[:, 0] / (2.0 * model.hbar))
     target = uj_kernel_fn(model, fk.heisenberg_element(g @ np.array(h.v), h.t))
     z = rng.uniform(-1, 1, size=(10, 2))
     w = rng.uniform(-1, 1, size=(10, 2))
     left = (ku(z[:, None, :], nodes) * weights).reshape(-1, quad_order, quad_order)
     right = kinv(nodes, w[:, None, :]) * weights * coeffs
-    inner = (left.transpose(0, 2, 1).reshape(-1, quad_order) @ Ex).reshape(
-        len(z), quad_order, -1)
-    lhs = np.sum(np.einsum("sbj,bj->sj", inner, Ey) * right, axis=-1)
+    # node (a, b) sits at (x_a, y_b); the tables are built in place
+    x = nodes[::quad_order, 0, None]
+    y = nodes[:quad_order, 1, None]
+    Ex = x * cc[:, 0]
+    Ex /= 2.0 * model.hbar
+    np.exp(Ex, out=Ex)
+    Ey = 1j * y * cc[:, 0]
+    Ey /= 2.0 * model.hbar
+    np.exp(Ey, out=Ey)
+    lhs = np.empty(len(z), dtype=complex)
+    inner = np.empty_like(Ex)
+    for k in range(len(z)):
+        np.matmul(left[k].T, Ex, out=inner)
+        lhs[k] = np.sum(np.einsum("bj,bj->j", inner, Ey) * right[k])
     return float(np.abs(lhs - target(z, w)).max())

@@ -37,15 +37,86 @@ import numpy as np
 ATOL_STRUCT = 1e-10
 
 
+# Diagonal Pade approximants r_m = (V - U)^{-1} (V + U) of exp, of degrees
+# m = 3, 5, 7, 9, 13 (Higham 2005, Table 2.3 and eqs. (2.4), (2.6)).
+# _PADE_THETA[i] is the largest 1-norm at which r_m(A) has double-precision
+# backward error.  With p_k = A^{2k} and the rows (even, odd) of
+# _PADE_ROWS[i], V = sum_k even[k] p_k and U = A sum_k odd[k] p_k; degree
+# 13 has two more rows, whose sums p_3 multiplies into V and into U's sum.
+_PADE_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1,
+                        9.504178996162932e-1, 2.097847961257068e0,
+                        5.371920351148152e0])
+_PADE_ROWS = [np.array(rows, dtype=float) for rows in (
+    [[120, 12], [60, 1]],
+    [[30240, 3360, 30], [15120, 420, 1]],
+    [[17297280, 1995840, 25200, 56], [8648640, 277200, 1512, 1]],
+    [[17643225600, 2075673600, 30270240, 110880, 90],
+     [8821612800, 302702400, 2162160, 3960, 1]],
+    [[64764752532480000, 7771770303897600, 129060195264000, 670442572800],
+     [32382376266240000, 1187353796428800, 10559470521600, 33522128640],
+     [0, 1323241920, 960960, 182],
+     [0, 40840800, 16380, 1]],
+)]
+
+
+def _pade(A: np.ndarray, i: int) -> np.ndarray:
+    """The approximant of degree (3, 5, 7, 9, 13)[i] at a stack of matrices
+    A, shape (N, d, d)."""
+    rows = _PADE_ROWS[i]
+    N, d = A.shape[0], A.shape[-1]
+    powers = np.empty((N, rows.shape[1], d, d), dtype=A.dtype)
+    powers[:, 0] = np.eye(d)
+    np.matmul(A, A, out=powers[:, 1])
+    for k in range(2, rows.shape[1]):
+        np.matmul(powers[:, k - 1], powers[:, 1], out=powers[:, k])
+    # one (rows, k) @ (k, d^2) product per matrix gives every sum at once
+    sums = (rows @ powers.reshape(N, -1, d * d)).reshape(N, -1, d, d)
+    even, odd = sums[:, 0], sums[:, 1]
+    if len(rows) == 4:
+        even = even + powers[:, -1] @ sums[:, 2]
+        odd = odd + powers[:, -1] @ sums[:, 3]
+    U = A @ odd
+    return np.linalg.solve(even - U, even + U)
+
+
 def expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential over the last two axes; batched.
+    """Matrix exponential over the last two axes; batched, real or complex.
 
-    SciPy loads on the first call, so code that never exponentiates a group
-    element (the Dirac layer, spectra) runs on NumPy alone.
+    Scaling and squaring with a diagonal Pade approximant (N. J. Higham,
+    "The scaling and squaring method for the matrix exponential revisited",
+    SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193).  Each matrix gets the
+    lowest degree m in (3, 5, 7, 9, 13) whose theta_m bounds its 1-norm;
+    beyond theta_13 it is scaled by 2^-s into that bound, approximated at
+    degree 13 and squared s times.  Degree and scaling are chosen per
+    matrix, so a batch equals its single calls bit for bit.
     """
-    from scipy.linalg import expm as scipy_expm
-
-    return scipy_expm(A)
+    A = np.asarray(A)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected square matrices on the last two axes, "
+                         f"got shape {A.shape}")
+    X = A.reshape((-1,) + A.shape[-2:]).astype(
+        np.result_type(A.dtype, float), copy=False)
+    norm = np.abs(X).sum(axis=-2).max(axis=-1, initial=0.0)
+    degree = np.searchsorted(_PADE_THETA[:-1], norm)
+    used = set(degree.tolist())
+    top = len(_PADE_THETA) - 1
+    if top in used:
+        # the least s >= 0 with norm / 2^s <= theta_13, exactly, by frexp
+        frac, exp2 = np.frexp(norm / _PADE_THETA[-1])
+        s = np.where(degree == top, np.maximum(exp2 - (frac == 0.5), 0), 0)
+        X = X * np.ldexp(1.0, -s)[:, None, None]
+    if len(used) == 1:
+        X = _pade(X, next(iter(used)))
+    else:
+        X = X.copy()
+        for i in used:
+            sel = degree == i
+            X[sel] = _pade(X[sel], i)
+    if top in used:
+        for k in range(s.max()):
+            sel = s > k
+            X[sel] = X[sel] @ X[sel]
+    return X.reshape(A.shape)
 
 
 def unbatch(x):

@@ -227,6 +227,22 @@ def test_uj_action_is_unitary_and_group_law():
     assert fk.combo_inner(m, lhs, lhs) == pytest.approx(fk.combo_inner(m, rhs, rhs))
 
 
+def test_combo_log_norm_matches_gram_and_survives_small_hbar():
+    rng = np.random.default_rng(RNG_SEED)
+    combo = fk.coherent_combo(rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                              rng.uniform(-2, 2, size=(3, 4)))
+    m = sl.standard_model(2, hbar=0.7)
+    want = 0.5 * np.log(fk.combo_inner(m, combo, combo).real)
+    assert fk.combo_log_norm(m, combo) == pytest.approx(want, rel=1e-13)
+    # at hbar = 1e-3 the Gram entries exp(|v|^2/2hbar) overflow, and the
+    # norm is that of the largest center's state to within rounding
+    m = sl.standard_model(2, hbar=1e-3)
+    big = np.argmax((combo.centers ** 2).sum(axis=-1))
+    want = (np.log(abs(combo.coeffs[big]))
+            + (combo.centers[big] ** 2).sum() / (4.0 * m.hbar))
+    assert fk.combo_log_norm(m, combo) == pytest.approx(want, rel=1e-13)
+
+
 def test_central_element_acts_by_phase():
     m = sl.standard_model(1, hbar=0.5)
     combo = fk.coherent_combo([1.0], [[0.3, -0.2]])

@@ -506,15 +506,21 @@ def test_conjugation_check_memory_peak():
     rng = np.random.default_rng(RNG_SEED + 25)
     u = mpc.random_mpc(m, rng, scale=0.4)
     h = fk.heisenberg_element(rng.uniform(-1, 1, size=2), 0.3)
-    mpc.conjugation_check(m, u, h, rng=np.random.default_rng(0))  # warm
-    tracemalloc.start()
-    try:
-        mpc.conjugation_check(m, u, h, rng=np.random.default_rng(0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the 1600 x 1600 middle kernel alone would take 41 MB
-    assert peak < 25e6
+    for Q in (40, 60):
+        # complex words: the per-sample Q x Q^2 product and the tables Ex
+        # and Ey, then the 10 x Q^2 side factors left and right, and one
+        # more 10 x Q^2 for the node arrays and each sample's contraction;
+        # the Q^2 x Q^2 middle kernel alone would take 41 MB at Q = 40
+        bound = 16 * (3 * Q**3 + 3 * 10 * Q**2)
+        mpc.conjugation_check(m, u, h, quad_order=Q)  # warm
+        tracemalloc.start()
+        try:
+            mpc.conjugation_check(m, u, h, quad_order=Q,
+                                  rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound <= 1.5 * peak
 
 
 def test_kernel_composition_matches_group_law():

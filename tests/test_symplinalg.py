@@ -1,7 +1,9 @@
-"""Tests for the (C, Z) calculus and the smooth log-determinant branch."""
+"""Tests for the (C, Z) calculus, the smooth log-determinant branch and the
+matrix exponential."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from sympdirac import symplinalg as sl
@@ -239,6 +241,82 @@ def test_smooth_log_det_rejects_bad_domain():
     m = model(1)
     with pytest.raises(ValueError):
         sl.smooth_log_det(m, np.array([[-1.0 + 0j]]))
+
+
+# ---------------------------------------------------------------------------
+# matrix exponential, against SciPy's as the oracle
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_expm_matches_scipy_on_library_draws(n):
+    m = model(n)
+    rng = np.random.default_rng(RNG_SEED)
+    for scale in (0.35, 0.4, 0.45):
+        X = rng.standard_normal((40, 2 * n, 2 * n))
+        A = sl.sp_algebra_from_gaussian(m, X, scale)
+        got = sl.expm(A)
+        assert got.dtype == np.float64
+        for a, g in zip(A, got):
+            assert _rel_err(g, scipy.linalg.expm(a)) < 1e-13
+        # exp of a Hamiltonian matrix is symplectic
+        assert np.max(sl.sp_residual(m, got)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_expm_matches_scipy_on_skew_hermitian_input(n):
+    rng = np.random.default_rng(RNG_SEED + n)
+    for _ in range(20):
+        X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A = (X - X.conj().T) / 2.0
+        got = sl.expm(A)
+        assert got.dtype == np.complex128
+        assert _rel_err(got, scipy.linalg.expm(A)) < 1e-13
+        assert np.abs(got.conj().T @ got - np.eye(n)).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_expm_squares_at_large_norm(n):
+    # 1-norm 50, past the degree-13 bound 5.37: four squarings
+    m = model(n)
+    rng = np.random.default_rng(RNG_SEED)
+    A = sl.sp_algebra_from_gaussian(m, rng.standard_normal((2 * n, 2 * n)), 1.0)
+    A *= 50.0 / np.abs(A).sum(axis=0).max()
+    assert _rel_err(sl.expm(A), scipy.linalg.expm(A)) < 1e-12
+    # a rotation generator, whose exponential is known in closed form
+    theta = 50.0
+    R = sl.expm(np.array([[0.0, theta], [-theta, 0.0]]))
+    c, s = np.cos(theta), np.sin(theta)
+    assert np.abs(R - np.array([[c, s], [-s, c]])).max() < 1e-13
+
+
+def test_expm_of_zero_is_the_identity_and_empty_batches_pass():
+    for d in (1, 2, 4):
+        assert np.array_equal(sl.expm(np.zeros((d, d))), np.eye(d))
+        assert np.array_equal(sl.expm(np.zeros((3, d, d), dtype=complex)),
+                              np.broadcast_to(np.eye(d), (3, d, d)))
+        assert sl.expm(np.zeros((0, d, d))).shape == (0, d, d)
+    with pytest.raises(ValueError):
+        sl.expm(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_expm_batch_equals_single_calls(n):
+    # scales from 1e-3 to 1e2 reach every Pade degree and up to seven
+    # squarings, so the batch mixes degrees and scalings
+    m = model(n)
+    rng = np.random.default_rng(RNG_SEED)
+    X = rng.standard_normal((3, 8, 2 * n, 2 * n))
+    scales = np.logspace(-3, 2, 24).reshape(3, 8)[..., None, None]
+    for A in (sl.sp_algebra_from_gaussian(m, X, 1.0) * scales,
+              (X + 1j * np.swapaxes(X, -1, -2)) * scales):
+        got = sl.expm(A)
+        assert got.shape == A.shape
+        for idx in np.ndindex(A.shape[:-2]):
+            assert np.array_equal(got[idx], sl.expm(A[idx]))
 
 
 # ---------------------------------------------------------------------------

@@ -177,10 +177,11 @@ def _check_heisenberg_group_law(setup, rng):
         gap = np.abs(fk.combo_eval(m, two, z) - fk.combo_eval(m, one, z))
         # relative to the Cauchy-Schwarz bound |one(z)| <= |one| |e_z|, with
         # |e_z| = exp(|z|^2/4hbar) by the reproducing property; in logs,
-        # since |one| overflows at small hbar, and a zero gap gives 0
+        # since |one| overflows at small hbar; a zero gap gives 0, and a NaN
+        # gap stays NaN
         log_bound = (fk.combo_log_norm(m, one)
                      + np.sum(z * z, axis=-1) / (4.0 * m.hbar))
-        log_gap = np.log(gap, out=np.full_like(gap, -np.inf), where=gap > 0)
+        log_gap = np.log(gap, out=np.full_like(gap, -np.inf), where=gap != 0)
         yield np.exp(log_gap - log_bound).max()
 
 

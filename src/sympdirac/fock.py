@@ -259,12 +259,19 @@ def coherent_inner(model: SymplecticModel, v: np.ndarray, w: np.ndarray) -> comp
     return complex(np.exp(hermitean_form(model, w, v) / (2.0 * model.hbar)))
 
 
+def _gram_exponent(model: SymplecticModel, c1: CoherentCombo,
+                   c2: CoherentCombo) -> np.ndarray:
+    """<w_j, v_i>/2hbar for the centers v_i of c1 and w_j of c2, so that
+    exp of it is the Gram matrix (e_{v_i}, e_{w_j})."""
+    v = vec_to_complex(model, c1.centers)
+    w = vec_to_complex(model, c2.centers)
+    return v.conj() @ w.T / (2.0 * model.hbar)
+
+
 def combo_inner(model: SymplecticModel, c1: CoherentCombo, c2: CoherentCombo) -> complex:
     """sum_ij a_i conj(b_j) (e_{v_i}, e_{w_j}), through the Gram matrix
     exp(<w_j, v_i>/2hbar) of the centers."""
-    v = vec_to_complex(model, c1.centers)
-    w = vec_to_complex(model, c2.centers)
-    gram = np.exp(v.conj() @ w.T / (2.0 * model.hbar))
+    gram = np.exp(_gram_exponent(model, c1, c2))
     return complex(c1.coeffs @ gram @ c2.coeffs.conj())
 
 
@@ -272,8 +279,7 @@ def combo_log_norm(model: SymplecticModel, c: CoherentCombo) -> float:
     """log |c|, from the Gram matrix of combo_inner(c, c) divided by its
     largest entry exp(max |v_i|^2/2hbar) (log-sum-exp), so it stays finite
     where |c|^2 itself overflows (small hbar)."""
-    v = vec_to_complex(model, c.centers)
-    expo = v.conj() @ v.T / (2.0 * model.hbar)
+    expo = _gram_exponent(model, c, c)
     shift = expo.real.max()
     scaled = (c.coeffs @ np.exp(expo - shift) @ c.coeffs.conj()).real
     return 0.5 * (shift + float(np.log(scaled)))

@@ -105,13 +105,10 @@ def expm(A: np.ndarray) -> np.ndarray:
         frac, exp2 = np.frexp(norm / _PADE_THETA[-1])
         s = np.where(degree == top, np.maximum(exp2 - (frac == 0.5), 0), 0)
         X = X * np.ldexp(1.0, -s)[:, None, None]
-    if len(used) == 1:
-        X = _pade(X, next(iter(used)))
-    else:
-        X = X.copy()
-        for i in used:
-            sel = degree == i
-            X[sel] = _pade(X[sel], i)
+    X = X.copy()  # astype(copy=False) may alias A
+    for i in used:
+        sel = degree == i
+        X[sel] = _pade(X[sel], i)
     if top in used:
         for k in range(s.max()):
             sel = s > k

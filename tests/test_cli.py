@@ -231,6 +231,28 @@ def test_verify_heisenberg_checks_are_scale_free(hbar):
         assert checks[name]["pass"] is True
 
 
+def test_heisenberg_group_law_fails_on_a_nan_gap(monkeypatch):
+    # the ratio is formed in logs; a NaN evaluation must not read as log 0
+    combo_eval = checks.fk.combo_eval
+    calls = []
+
+    def nan_once(model, c, z):
+        vals = combo_eval(model, c, z)
+        if not calls:
+            vals[0] = np.nan
+        calls.append(1)
+        return vals
+
+    monkeypatch.setattr(checks.fk, "combo_eval", nan_once)
+    cfg = cli.default_config()
+    cfg["suites"] = ["fock"]
+    report, code = cli.run_verify(cfg)
+    checks_ = {c["name"]: c for c in report["checks"]}
+    assert np.isnan(checks_["heisenberg-group-law"]["max_residual"])
+    assert checks_["heisenberg-group-law"]["pass"] is False
+    assert code != 0
+
+
 def test_gauss_hermite_rule_is_computed_once_per_order(monkeypatch):
     cfg = cli.default_config()
     cli.run_verify(cfg, suites=["kernels"])

@@ -223,21 +223,20 @@ def _check_covariance(setup, rng):
 def _lie_fd_residuals(setup, rng):
     m, B = setup.model, setup.basis
     # a path over the unitary group (the arm with an exact fiber action)
-    K = rng.normal(size=(m.n, m.n)) + 1j * rng.normal(size=(m.n, m.n))
-    xi = sl.real_matrix(m, 0.5 * (K - K.conj().T))
+    xi = sl.random_u_algebra(m, rng)
     mu = 1j * rng.normal() * 0.4
     x = mpc.mpc_lie_element(m, mu, xi)
     f = fk.FockVector(basis=B, coeffs=rng.normal(size=B.dim)
                       + 1j * rng.normal(size=B.dim))
-    exact = mpc.mpc_lie_act(m, B, x, f).coeffs
+    exact = mpc.lie_action(m, B, x.mu, x.xi) @ f.coeffs
 
     def fd(t):
         def elem(s):
             pair = sl.cz_decompose(m, sl.expm(s * xi))
             return mpc.mpc_element(m, pair, np.exp(s * mu))
 
-        up = mpc.muc_apply(m, B, elem(t), f).coeffs
-        dn = mpc.muc_apply(m, B, elem(-t), f).coeffs
+        up = mpc.muc_matrix(m, B, elem(t)).matrix @ f.coeffs
+        dn = mpc.muc_matrix(m, B, elem(-t)).matrix @ f.coeffs
         return float(np.abs((up - dn) / (2.0 * t) - exact).max())
 
     return fd(1e-3), fd(1e-4)

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import fock as fk
 from . import geometry as ge
+from . import symplinalg as sl
 from .geometry import Connection, SpinorField, TorusModel
 from .symplinalg import SymplecticModel
 
@@ -58,33 +59,6 @@ class DiracContext:
     @property
     def model(self) -> SymplecticModel:
         return self.conn.torus.model
-
-    @cached_property
-    def lie_mats(self) -> np.ndarray:
-        """The dense lie_matrix_field, (2n,) + grid + (F, F).
-
-        Rebuilt on first use for callers that want the full matrices; no
-        operator reads it.
-        """
-        return ge.lie_matrix_field(self.conn, self.basis)
-
-    @cached_property
-    def lie_hat(self) -> np.ndarray:
-        """Fourier coefficients of lie_mats, grid + (2n, F, F).
-
-        Built on first use; no operator reads it.  Only the stored slots of
-        the row-sparse action are transformed; every other fiber entry is
-        an exact zero of every coefficient.
-        """
-        act, torus = self.action, self.torus
-        F = act.cols.shape[0]
-        rows, ks = act.slots
-        cols = act.cols[rows, ks]
-        # (stored slots, 2n) + grid, moved to grid + (2n, stored slots)
-        entries = np.moveaxis(act.coef[:, ks, ..., rows], (0, 1), (-1, -2))
-        out = np.zeros(torus.grid_shape + (torus.dim, F, F), dtype=complex)
-        out[..., rows, cols] = ge.mode_coefficients(torus, entries)
-        return out
 
     @cached_property
     def p_hat(self) -> tuple:
@@ -180,12 +154,18 @@ def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:
     m = conn.torus.model
     if basis.n != m.n:
         raise ValueError("fiber basis and torus model disagree on n")
-    cl = ge.clifford_basis_matrices(m, basis, "cl")
+    # creation C(e_b) and annihilation A(e_b) on the coordinate vectors, from
+    # the ladders and the complex coordinates of e_b; Cl = C - A
+    E = sl.vec_to_complex(m, np.eye(2 * m.n))
+    R, L = fk.ladder_ops(basis.n, basis.max_degree)
+    Dp = np.tensordot(E.conj() / (2.0 * m.hbar), R, axes=1)
+    A = np.tensordot(E, L, axes=1)
+    cl = Dp - A
     fiber = {
         "D": cl,
         "Dt": np.einsum("ci,cFG->iFG", m.j, cl),  # Clifford action of J e_i
-        "Dp": ge.clifford_basis_matrices(m, basis, "c"),
-        "Ds": -ge.clifford_basis_matrices(m, basis, "a"),
+        "Dp": Dp,
+        "Ds": -A,
     }
     Om = m.Omega
     tau = ge.tau_field(conn).real
@@ -254,7 +234,8 @@ def _values(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
     """The values of psi, once psi is known to live on ctx's torus and fiber.
 
     Every operator reads its input fields through here.  Models are
-    compared by value, so an equal torus built separately is accepted.
+    compared by value, so an equal torus built separately is accepted.  The
+    values must have shape grid + (F,): the operators take no batch axis.
     """
     t, mine = psi.torus, ctx.torus
     if (t.model.n, t.model.hbar, t.cutoff, t.grid_size) != (
@@ -263,6 +244,10 @@ def _values(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
     if (psi.basis.n, psi.basis.max_degree) != (ctx.basis.n,
                                                ctx.basis.max_degree):
         raise ValueError("spinor field uses another fiber basis than ctx")
+    want = mine.grid_shape + (ctx.basis.dim,)
+    if np.shape(psi.values) != want:
+        raise ValueError(f"spinor values have shape {np.shape(psi.values)},"
+                         f" not grid + (F,) = {want}")
     return psi.values
 
 
@@ -359,8 +344,10 @@ def nabla_full(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
 
 def aj_tau(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """Fiber derivation along the torsion vector, A(tau) psi."""
-    _values(ctx, psi)
-    return ge.spinor_pointwise_op(psi, -ctx.tau, ctx.fiber["Ds"])  # Ds = -A
+    vals = _values(ctx, psi)
+    # Ds = -A
+    return _wrap(ctx, _along([_apply(S, vals) for S in ctx.fiber["Ds"]],
+                             -ctx.tau))
 
 
 def adjoint_residual(ctx: DiracContext, psi1: SpinorField,

@@ -310,11 +310,8 @@ def random_connection(torus: TorusModel, rng: np.random.Generator,
     xis, bands = [], []
     for _ in range(d):
         for _ in range(2):
-            if unitary:
-                K = rng.normal(size=(m.n, m.n)) + 1j * rng.normal(size=(m.n, m.n))
-                xis.append(sl.real_matrix(m, 0.5 * (K - K.conj().T)))
-            else:
-                xis.append(sl.random_sp_algebra(m, rng))
+            xis.append(sl.random_u_algebra(m, rng) if unitary
+                       else sl.random_sp_algebra(m, rng))
             bands.append(_draw_band(torus, rng, cutoff))
         bands.append(_draw_band(torus, rng, cutoff))
     f = _synthesize(torus, np.stack(bands), cutoff).reshape(
@@ -529,13 +526,6 @@ def spinor_field(torus: TorusModel, basis: fk.FockBasis,
     return SpinorField(torus=torus, basis=basis, values=values)
 
 
-def constant_spinor(torus: TorusModel, basis: fk.FockBasis,
-                    coeffs: np.ndarray) -> SpinorField:
-    vals = np.broadcast_to(np.asarray(coeffs, dtype=complex),
-                           torus.grid_shape + (basis.dim,)).copy()
-    return spinor_field(torus, basis, vals)
-
-
 def random_spinor_field(torus: TorusModel, basis: fk.FockBasis,
                         rng: np.random.Generator, cutoff: int | None = None,
                         max_degree: int | None = None) -> SpinorField:
@@ -590,9 +580,8 @@ class FiberAction:
 def _row_sparse(direction_mats) -> FiberAction:
     """FiberAction of the fiber matrix fields grid + (F, F), one per direction.
 
-    direction_mats is consumed one direction at a time (a dense (2n,) + grid
-    + (F, F) array iterates so as well); only each direction's non-zero
-    entries are kept until the pattern of all of them is known.
+    direction_mats is consumed one direction at a time; only each direction's
+    non-zero entries are kept until the pattern of all of them is known.
     """
     masks, entries = [], []
     for mats in direction_mats:
@@ -651,68 +640,20 @@ def cov_deriv_values(torus: TorusModel, action: FiberAction, vals: np.ndarray,
     return out
 
 
-def spinor_cov_deriv(conn: Connection, psi: SpinorField, b: int,
-                     mats: np.ndarray | None = None) -> SpinorField:
-    """nabla_b psi = d_b psi + fiber action of (a_b(x), Gamma_b(x)).
-
-    mats, when given, is the connection's lie_matrix_field.
-    """
-    action = (fiber_action(conn, psi.basis) if mats is None
-              else _row_sparse(mats))
-    vals = cov_deriv_values(psi.torus, action, psi.values, b)
+def spinor_cov_deriv(conn: Connection, psi: SpinorField, b: int) -> SpinorField:
+    """nabla_b psi = d_b psi + fiber action of (a_b(x), Gamma_b(x))."""
+    vals = cov_deriv_values(psi.torus, fiber_action(conn, psi.basis),
+                            psi.values, b)
     return SpinorField(torus=psi.torus, basis=psi.basis, values=vals)
 
 
-def spinor_curvature(conn: Connection, psi: SpinorField, a: int, b: int,
-                     mats: np.ndarray | None = None) -> SpinorField:
-    """R(d_a, d_b) psi = nabla_a nabla_b psi - nabla_b nabla_a psi.
-
-    mats, when given, is the connection's lie_matrix_field.
-    """
-    action = (fiber_action(conn, psi.basis) if mats is None
-              else _row_sparse(mats))
+def spinor_curvature(conn: Connection, psi: SpinorField, a: int,
+                     b: int) -> SpinorField:
+    """R(d_a, d_b) psi = nabla_a nabla_b psi - nabla_b nabla_a psi."""
+    action = fiber_action(conn, psi.basis)
 
     def nabla(c, vals):
         return cov_deriv_values(psi.torus, action, vals, c)
 
     vals = nabla(a, nabla(b, psi.values)) - nabla(b, nabla(a, psi.values))
-    return SpinorField(torus=psi.torus, basis=psi.basis, values=vals)
-
-
-def clifford_basis_matrices(model: SymplecticModel, basis: fk.FockBasis,
-                            kind: str) -> np.ndarray:
-    """Stack of fiber matrices for the coordinate directions, shape (2n,F,F).
-
-    kind selects creation ('c'), annihilation ('a') or their difference,
-    the symplectic Clifford action ('cl').
-    """
-    d = 2 * model.n
-    mats = np.zeros((d, basis.dim, basis.dim), dtype=complex)
-    for b in range(d):
-        e = np.zeros(d)
-        e[b] = 1.0
-        if kind == "c":
-            mats[b] = fk.creation_op(model, basis, e).matrix
-        elif kind == "a":
-            mats[b] = fk.annihilation_op(model, basis, e).matrix
-        elif kind == "cl":
-            mats[b] = fk.clifford_op(model, basis, e).matrix
-        else:
-            raise ValueError("kind must be 'c', 'a' or 'cl'")
-    return mats
-
-
-def spinor_pointwise_op(psi: SpinorField, X: np.ndarray,
-                        mats: np.ndarray) -> SpinorField:
-    """Apply the X-weighted combination of the basis fiber matrices.
-
-    X may be a constant vector or a vector field; mats has shape (2n, F, F)
-    (the operators are real-linear in the vector argument).
-    """
-    X = np.asarray(X, dtype=complex)
-    shape = psi.values.shape
-    flat = psi.values.reshape(-1, shape[-1])
-    vals = np.zeros(shape, dtype=complex)
-    for b in range(len(mats)):
-        vals += X[..., b, None] * (flat @ mats[b].T).reshape(shape)
     return SpinorField(torus=psi.torus, basis=psi.basis, values=vals)

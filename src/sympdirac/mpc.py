@@ -58,10 +58,6 @@ def mpc_element(model: SymplecticModel, pair: CZPair,
     return MpcElement(pair=pair, lam=lam)
 
 
-def mpc_from_symplectic(model: SymplecticModel, g: np.ndarray, lam: complex) -> MpcElement:
-    return mpc_element(model, sl.cz_decompose(model, g), lam)
-
-
 def identity_mpc(model: SymplecticModel) -> MpcElement:
     d = 2 * model.n
     pair = CZPair(C=np.eye(d), Z=np.zeros((d, d)))
@@ -76,10 +72,6 @@ def sigma(model: SymplecticModel, u: MpcElement) -> np.ndarray:
 def eta(model: SymplecticModel, u: MpcElement):
     """The character lam^2 det C; squaring map on the central circle."""
     return sl.unbatch(u.lam**2 * np.linalg.det(sl.complex_matrix(model, u.pair.C)))
-
-
-def is_metaplectic(model: SymplecticModel, u: MpcElement) -> bool:
-    return abs(eta(model, u) - 1.0) <= ATOL_INVARIANT
 
 
 def random_mpc(model: SymplecticModel, rng: np.random.Generator,
@@ -159,11 +151,6 @@ def muc_matrix(model: SymplecticModel, basis: fk.FockBasis,
     return fk.FockOperator(basis=basis, matrix=u.lam * mat, degree_shift=0)
 
 
-def muc_apply(model: SymplecticModel, basis: fk.FockBasis, u: MpcElement,
-              f: fk.FockVector) -> fk.FockVector:
-    return fk.apply_op(muc_matrix(model, basis, u), f)
-
-
 # ---------------------------------------------------------------------------
 # Lie algebra action on truncated fibers
 
@@ -211,18 +198,6 @@ def lie_action(model: SymplecticModel, basis: fk.FockBasis,
         out += contract(W.conj(), raise2) / (4.0 * model.hbar)
         out -= model.hbar * contract(W, lower2)
     return out
-
-
-def mpc_lie_matrix(model: SymplecticModel, basis: fk.FockBasis,
-                   x: MpcLieElement) -> fk.FockOperator:
-    """Fiber operator of one (mu, xi) pair; see lie_action."""
-    return fk.FockOperator(basis=basis, matrix=lie_action(model, basis, x.mu, x.xi),
-                           degree_shift=None)
-
-
-def mpc_lie_act(model: SymplecticModel, basis: fk.FockBasis, x: MpcLieElement,
-                f: fk.FockVector) -> fk.FockVector:
-    return fk.apply_op(mpc_lie_matrix(model, basis, x), f)
 
 
 def mpc_lie_bracket(model: SymplecticModel, x1: MpcLieElement,
@@ -320,10 +295,6 @@ def kernel_eval(model: SymplecticModel, K: GaussianKernel, z: np.ndarray,
     quad -= np.einsum("...k,kl,...l->...", zc, K.B.conj(), zc)
     quad -= np.einsum("...k,kl,...l->...", wc, K.Cq, wc)
     return K.lam * np.exp(quad / (4.0 * model.hbar))
-
-
-def gaussian_kernel_fn(model: SymplecticModel, K: GaussianKernel):
-    return lambda z, w: kernel_eval(model, K, z, w)
 
 
 def _uj_route(model: SymplecticModel, h: fk.HeisenbergElement, w):
@@ -452,15 +423,16 @@ def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergEle
     if rng is None:
         rng = np.random.default_rng(0)
     g = sigma(model, u)
-    ku = gaussian_kernel_fn(model, mpc_kernel(model, u))
-    kinv = gaussian_kernel_fn(model, mpc_kernel(model, mpc_inverse(model, u)))
+    ku = mpc_kernel(model, u)
+    kinv = mpc_kernel(model, mpc_inverse(model, u))
     nodes, weights = _hermite_rule(quad_order, np.sqrt(2.0 * model.hbar))
     coeffs, cc = _uj_route(model, h, nodes)
     target = uj_kernel_fn(model, fk.heisenberg_element(g @ np.array(h.v), h.t))
     z = rng.uniform(-1, 1, size=(10, 2))
     w = rng.uniform(-1, 1, size=(10, 2))
-    left = (ku(z[:, None, :], nodes) * weights).reshape(-1, quad_order, quad_order)
-    right = kinv(nodes, w[:, None, :]) * weights * coeffs
+    left = (kernel_eval(model, ku, z[:, None, :], nodes) * weights).reshape(
+        -1, quad_order, quad_order)
+    right = kernel_eval(model, kinv, nodes, w[:, None, :]) * weights * coeffs
     # node (a, b) sits at (x_a, y_b); the tables are built in place
     x = nodes[::quad_order, 0, None]
     y = nodes[:quad_order, 1, None]

@@ -286,12 +286,13 @@ def sp_algebra_from_gaussian(model: SymplecticModel, X: np.ndarray, scale: float
     return np.linalg.solve(model.Omega, scale * (X + _T(X)) / 2.0)
 
 
-def random_unitary_sp(model: SymplecticModel, rng: np.random.Generator) -> np.ndarray:
-    """Random element of U(n) inside Sp(2n, R), via a skew-Hermitean exponent."""
+def random_u_algebra(model: SymplecticModel, rng: np.random.Generator) -> np.ndarray:
+    """Random element of u(n) inside sp(2n, R): the real form of (K - K^H)/2,
+    with K = X + iY for Gaussian n x n matrices X, then Y.  expm of it is a
+    random element of U(n) inside Sp(2n, R)."""
     n = model.n
-    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    A = (X - X.conj().T) / 2.0
-    return real_matrix(model, expm(A))
+    K = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return real_matrix(model, 0.5 * (K - K.conj().T))
 
 
 # ---------------------------------------------------------------------------

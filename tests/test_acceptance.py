@@ -158,33 +158,33 @@ def test_criterion_06_lie_algebra_representation():
             x2 = mpc.mpc_lie_element(m, 1j * rng.normal() * 0.4,
                                      sl.random_sp_algebra(m, rng))
             v = rng.normal(size=2 * n)
-            A1 = mpc.mpc_lie_matrix(m, B, x1).matrix
+            A1 = mpc.lie_action(m, B, x1.mu, x1.xi)
             Cv = fk.clifford_op(m, B, v).matrix
             Cxv = fk.clifford_op(m, B, x1.xi @ v).matrix
             equiv = max(equiv, float(
                 np.abs((A1 @ Cv - Cv @ A1 - Cxv)[:, cols3]).max()))
-            A2 = mpc.mpc_lie_matrix(m, B, x2).matrix
-            Abr = mpc.mpc_lie_matrix(m, B, mpc.mpc_lie_bracket(m, x1, x2)).matrix
+            A2 = mpc.lie_action(m, B, x2.mu, x2.xi)
+            br = mpc.mpc_lie_bracket(m, x1, x2)
+            Abr = mpc.lie_action(m, B, br.mu, br.xi)
             bracket = max(bracket, float(
                 np.abs((A1 @ A2 - A2 @ A1 - Abr)[:, cols4]).max()))
     # finite-difference derivative of the exact unitary-arm action
     m = sl.standard_model(1, hbar=0.8)
     B = fk.fock_basis(1, 8)
-    K = rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1))
-    xi = sl.real_matrix(m, 0.5 * (K - K.conj().T))
+    xi = sl.random_u_algebra(m, rng)
     mu = 0.3j
     x = mpc.mpc_lie_element(m, mu, xi)
     f = fk.FockVector(basis=B, coeffs=rng.normal(size=B.dim)
                       + 1j * rng.normal(size=B.dim))
-    exact = mpc.mpc_lie_act(m, B, x, f).coeffs
+    exact = mpc.lie_action(m, B, x.mu, x.xi) @ f.coeffs
 
     def fd(t):
         def elem(s):
             return mpc.mpc_element(m, sl.cz_decompose(m, expm(s * xi)),
                                    np.exp(s * mu))
 
-        up = mpc.muc_apply(m, B, elem(t), f).coeffs
-        dn = mpc.muc_apply(m, B, elem(-t), f).coeffs
+        up = mpc.muc_matrix(m, B, elem(t)).matrix @ f.coeffs
+        dn = mpc.muc_matrix(m, B, elem(-t)).matrix @ f.coeffs
         return float(np.abs((up - dn) / (2 * t) - exact).max())
 
     r3, r4 = fd(1e-3), fd(1e-4)
@@ -309,8 +309,7 @@ def test_criterion_10_weitzenbock_identity():
                 for s in range(2):
                     if np.abs(Mpref[l, s]).max() == 0.0:
                         continue
-                    common = ge.spinor_curvature(conn, psi, l, s,
-                                                 ctx.lie_mats).values
+                    common = ge.spinor_curvature(conn, psi, l, s).values
                     common = common - dr.nabla_dir(ctx, psi, T[l, s]).values
                     acc += np.einsum("FG,...G->...F", Mpref[l, s], common)
             terms.append(acc)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sympdirac import dirac as dr
 from sympdirac import fock as fk
 from sympdirac import geometry as ge
 from sympdirac import mpc
@@ -285,7 +286,7 @@ def test_tau_trace_identity_and_frame_independence():
             trace += ge.torsion_apply(conn, E[..., :, a], Z)[..., a]
         assert np.abs(ge.omega_pairing(t, tau, Z) - trace).max() < 1e-11
         # frame independence: recompute tau through a rotated constant frame
-        R = sl.random_unitary_sp(t.model, rng)
+        R = sl.expm(sl.random_u_algebra(t.model, rng))
         frame = np.broadcast_to(R, t.grid_shape + (d, d))
         dual = ge.dual_frame(t, frame)
         tau2 = np.zeros(t.grid_shape + (d,), dtype=complex)
@@ -466,12 +467,26 @@ def test_curvatures_differentiate_each_unordered_pair_once(monkeypatch):
 # spinor fields and their covariant calculus
 
 
+def clifford_stacks(conn, B):
+    """make_context's creation (c), annihilation (a) and Clifford (cl)
+    stacks on the coordinate vectors, each (2n, F, F)."""
+    fiber = dr.make_context(conn, B).fiber
+    return {"c": fiber["Dp"], "a": -fiber["Ds"], "cl": fiber["D"]}
+
+
+def pointwise(psi, X, stack):
+    """sum_b X^b stack[b] psi for a constant vector or vector field X."""
+    vals = np.einsum("...b,bFG,...G->...F", X, stack, psi.values)
+    return ge.spinor_field(psi.torus, psi.basis, vals)
+
+
 def test_spinor_field_validation_and_constant():
     t = small_torus()
     B = fk.fock_basis(1, 4)
     with pytest.raises(ValueError):
         ge.spinor_field(t, B, np.zeros((3, 3, B.dim)))
-    psi = ge.constant_spinor(t, B, np.arange(B.dim))
+    psi = ge.spinor_field(t, B, np.broadcast_to(np.arange(B.dim),
+                                                t.grid_shape + (B.dim,)))
     assert psi.values.shape == t.grid_shape + (B.dim,)
     assert np.abs(psi.values[0, 0] - np.arange(B.dim)).max() == 0.0
 
@@ -530,7 +545,7 @@ def test_lie_matrix_field_is_the_pointwise_fiber_action():
             b = int(rng.integers(t.dim))
             idx = tuple(int(i) for i in rng.integers(t.grid_size, size=t.dim))
             x = mpc.mpc_lie_element(m, conn.a[b][idx], conn.Gamma[b][idx])
-            want = mpc.mpc_lie_matrix(m, B, x).matrix
+            want = mpc.lie_action(m, B, x.mu, x.xi)
             assert np.abs(mats[b][idx] - want).max() < 1e-13
 
 
@@ -545,12 +560,11 @@ def test_fiber_action_is_skew_adjoint_pointwise():
     phi = ge.random_spinor_field(t, B, rng, cutoff=1)
     for unitary in (True, False):
         conn = ge.random_connection(t, rng, cutoff=1, unitary=unitary)
-        mats = ge.lie_matrix_field(conn, B)
         for b in range(2):
             h = np.einsum("...F,F,...F->...", psi.values, w, phi.values.conj())
             lhs = ge.partial_derivative(t, h, b)
-            dpsi = ge.spinor_cov_deriv(conn, psi, b, mats).values
-            dphi = ge.spinor_cov_deriv(conn, phi, b, mats).values
+            dpsi = ge.spinor_cov_deriv(conn, psi, b).values
+            dphi = ge.spinor_cov_deriv(conn, phi, b).values
             rhs = np.einsum("...F,F,...F->...", dpsi, w, phi.values.conj()) \
                 + np.einsum("...F,F,...F->...", psi.values, w, dphi.conj())
             assert np.abs(lhs - rhs).max() < 1e-11
@@ -560,23 +574,21 @@ def test_clifford_parallelism_unitary():
     # nabla_b(Op(e) psi) = Op(Gamma_b e) psi + Op(e) nabla_b psi, all degrees
     t = small_torus()
     B = fk.fock_basis(1, 5)
-    m = t.model
     rng = np.random.default_rng(RNG_SEED)
     conn = ge.random_connection(t, rng, cutoff=1, unitary=True)
-    mats = ge.lie_matrix_field(conn, B)
+    stacks = clifford_stacks(conn, B)
     psi = ge.random_spinor_field(t, B, rng, cutoff=2)
     for kind in ("a", "c", "cl"):
-        base = ge.clifford_basis_matrices(m, B, kind)
+        base = stacks[kind]
         for b in range(2):
             for ei in range(2):
                 e = np.zeros(2)
                 e[ei] = 1.0
-                lhs = ge.spinor_cov_deriv(
-                    conn, ge.spinor_pointwise_op(psi, e, base), b, mats).values
+                lhs = ge.spinor_cov_deriv(conn, pointwise(psi, e, base),
+                                          b).values
                 Ge = np.einsum("...ij,j->...i", conn.Gamma[b], e)
-                rhs = ge.spinor_pointwise_op(psi, Ge, base).values \
-                    + ge.spinor_pointwise_op(
-                        ge.spinor_cov_deriv(conn, psi, b, mats), e, base).values
+                rhs = pointwise(psi, Ge, base).values + pointwise(
+                    ge.spinor_cov_deriv(conn, psi, b), e, base).values
                 assert np.abs(lhs - rhs).max() < 1e-11
 
 
@@ -586,22 +598,18 @@ def test_clifford_parallelism_general_masked():
     t = small_torus()
     N = 6
     B = fk.fock_basis(1, N)
-    m = t.model
     rng = np.random.default_rng(RNG_SEED + 8)
     conn = ge.random_connection(t, rng, cutoff=1, unitary=False)
-    mats = ge.lie_matrix_field(conn, B)
     keep = B.degrees <= N - 3
     psi = ge.random_spinor_field(t, B, rng, cutoff=2, max_degree=N - 3)
-    base = ge.clifford_basis_matrices(m, B, "cl")
+    base = clifford_stacks(conn, B)["cl"]
     for b in range(2):
         e = np.zeros(2)
         e[b] = 1.0
-        lhs = ge.spinor_cov_deriv(
-            conn, ge.spinor_pointwise_op(psi, e, base), b, mats).values
+        lhs = ge.spinor_cov_deriv(conn, pointwise(psi, e, base), b).values
         Ge = np.einsum("...ij,j->...i", conn.Gamma[b], e)
-        rhs = ge.spinor_pointwise_op(psi, Ge, base).values \
-            + ge.spinor_pointwise_op(
-                ge.spinor_cov_deriv(conn, psi, b, mats), e, base).values
+        rhs = pointwise(psi, Ge, base).values + pointwise(
+            ge.spinor_cov_deriv(conn, psi, b), e, base).values
         assert np.abs((lhs - rhs)[..., keep]).max() < 1e-11
 
 
@@ -617,9 +625,8 @@ def test_spinor_curvature_flat_and_antisymmetric():
     flat = ge.flat_connection(t)
     assert np.abs(ge.spinor_curvature(flat, psi, 0, 1).values).max() < 1e-12
     conn = ge.random_connection(t, rng, cutoff=1, unitary=True)
-    mats = ge.lie_matrix_field(conn, B)
-    R = ge.spinor_curvature(conn, psi, 0, 1, mats)
-    Rt = ge.spinor_curvature(conn, psi, 1, 0, mats)
+    R = ge.spinor_curvature(conn, psi, 0, 1)
+    Rt = ge.spinor_curvature(conn, psi, 1, 0)
     assert np.abs(R.values + Rt.values).max() < 1e-12
 
 
@@ -644,7 +651,7 @@ def test_spinor_curvature_constant_connection_bracket_oracle():
     R = ge.spinor_curvature(conn, psi, 0, 1)
     br = mpc.mpc_lie_bracket(m, mpc.mpc_lie_element(m, 0.2j, xi1),
                              mpc.mpc_lie_element(m, 0.0, xi2))
-    Rmat = mpc.mpc_lie_matrix(m, B, br).matrix
+    Rmat = mpc.lie_action(m, B, br.mu, br.xi)
     want = np.einsum("FG,...G->...F", Rmat, psi.values)
     keep = B.degrees <= N - 4
     assert np.abs((R.values - want)[..., keep]).max() < 1e-12
@@ -655,12 +662,11 @@ def test_spinor_curvature_tensorial():
     B = fk.fock_basis(1, 4)
     rng = np.random.default_rng(RNG_SEED)
     conn = ge.random_connection(t, rng, cutoff=1, unitary=True)
-    mats = ge.lie_matrix_field(conn, B)
     psi = ge.random_spinor_field(t, B, rng, cutoff=1)
     f = ge.random_scalar_field(t, rng, cutoff=1)
     scaled = ge.spinor_field(t, B, f[..., None] * psi.values)
-    lhs = ge.spinor_curvature(conn, scaled, 0, 1, mats).values
-    rhs = f[..., None] * ge.spinor_curvature(conn, psi, 0, 1, mats).values
+    lhs = ge.spinor_curvature(conn, scaled, 0, 1).values
+    rhs = f[..., None] * ge.spinor_curvature(conn, psi, 0, 1).values
     assert np.abs(lhs - rhs).max() < 1e-10
 
 

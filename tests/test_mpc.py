@@ -1,6 +1,7 @@
 """Tests for Mp^c parameter arithmetic, fiber actions, and Berezin kernels."""
 
 import tracemalloc
+from functools import partial
 from math import factorial
 
 import numpy as np
@@ -137,16 +138,21 @@ def test_eta_is_a_character_and_squares_the_center():
         assert mpc.eta(m, c) == pytest.approx(np.exp(2j * theta), abs=1e-14)
 
 
+def metaplectic(m, u):
+    """u lies in Mp, the kernel of eta."""
+    return abs(mpc.eta(m, u) - 1.0) <= mpc.ATOL_INVARIANT
+
+
 def test_metaplectic_subgroup_closure():
     for m in models():
         rng = np.random.default_rng(RNG_SEED + 5)
         for _ in range(6):
             u1 = mpc.random_mpc(m, rng, metaplectic=True)
             u2 = mpc.random_mpc(m, rng, metaplectic=True)
-            assert mpc.is_metaplectic(m, u1)
-            assert mpc.is_metaplectic(m, mpc.mpc_mul(m, u1, u2))
-            assert mpc.is_metaplectic(m, mpc.mpc_inverse(m, u1))
-            assert not mpc.is_metaplectic(
+            assert metaplectic(m, u1)
+            assert metaplectic(m, mpc.mpc_mul(m, u1, u2))
+            assert metaplectic(m, mpc.mpc_inverse(m, u1))
+            assert not metaplectic(
                 m, mpc.mpc_element(m, u1.pair, u1.lam * np.exp(0.3j)))
 
 
@@ -189,10 +195,12 @@ def test_muc_unitary_homomorphism_and_rejection():
     rng = np.random.default_rng(RNG_SEED + 7)
     B = fk.fock_basis(2, 6)
     for _ in range(4):
-        k1 = sl.random_unitary_sp(m, rng)
-        k2 = sl.random_unitary_sp(m, rng)
-        u1 = mpc.mpc_from_symplectic(m, k1, np.exp(1j * rng.uniform(0, 6)))
-        u2 = mpc.mpc_from_symplectic(m, k2, np.exp(1j * rng.uniform(0, 6)))
+        k1 = sl.expm(sl.random_u_algebra(m, rng))
+        k2 = sl.expm(sl.random_u_algebra(m, rng))
+        u1 = mpc.mpc_element(m, sl.cz_decompose(m, k1),
+                             np.exp(1j * rng.uniform(0, 6)))
+        u2 = mpc.mpc_element(m, sl.cz_decompose(m, k2),
+                             np.exp(1j * rng.uniform(0, 6)))
         M1 = mpc.muc_matrix(m, B, u1).matrix
         M2 = mpc.muc_matrix(m, B, u2).matrix
         # exactly unitary for the weighted fiber inner product
@@ -200,18 +208,18 @@ def test_muc_unitary_homomorphism_and_rejection():
         M12 = mpc.muc_matrix(m, B, mpc.mpc_mul(m, u1, u2)).matrix
         assert np.abs(M1 @ M2 - M12).max() < 1e-12
     g = sl.random_sp(m, rng)  # generic: not j-linear
+    pair = sl.cz_decompose(m, g)
+    lam = abs(np.linalg.det(sl.complex_matrix(m, pair.C))) ** -0.5
     with pytest.raises(ValueError):
-        mpc.muc_matrix(m, B, mpc.mpc_from_symplectic(
-            m, g, abs(np.linalg.det(sl.complex_matrix(
-                m, sl.cz_decompose(m, g).C))) ** -0.5))
+        mpc.muc_matrix(m, B, mpc.mpc_element(m, pair, lam))
 
 
 def test_muc_berezin_kernel_is_truncated_exponential():
     m = sl.standard_model(1, hbar=0.9)
     rng = np.random.default_rng(RNG_SEED + 8)
     B = fk.fock_basis(1, 8)
-    k = sl.random_unitary_sp(m, rng)
-    u = mpc.mpc_from_symplectic(m, k, np.exp(0.21j))
+    k = sl.expm(sl.random_u_algebra(m, rng))
+    u = mpc.mpc_element(m, sl.cz_decompose(m, k), np.exp(0.21j))
     op = mpc.muc_matrix(m, B, u)
     Kinv = np.linalg.inv(sl.complex_matrix(m, u.pair.C))
     for _ in range(5):
@@ -253,7 +261,7 @@ def test_lie_action_clifford_equivariance():
             x = mpc.mpc_lie_element(m, 1j * rng.normal() * 0.4,
                                     sl.random_sp_algebra(m, rng))
             v = rng.normal(size=2 * m.n)
-            A = mpc.mpc_lie_matrix(m, B, x).matrix
+            A = mpc.lie_action(m, B, x.mu, x.xi)
             Cv = fk.clifford_op(m, B, v).matrix
             Cxv = fk.clifford_op(m, B, x.xi @ v).matrix
             R = A @ Cv - Cv @ A - Cxv
@@ -271,10 +279,10 @@ def test_lie_bracket_closure_with_central_term():
                                      sl.random_sp_algebra(m, rng))
             x2 = mpc.mpc_lie_element(m, 1j * rng.normal() * 0.3,
                                      sl.random_sp_algebra(m, rng))
-            A1 = mpc.mpc_lie_matrix(m, B, x1).matrix
-            A2 = mpc.mpc_lie_matrix(m, B, x2).matrix
+            A1 = mpc.lie_action(m, B, x1.mu, x1.xi)
+            A2 = mpc.lie_action(m, B, x2.mu, x2.xi)
             br = mpc.mpc_lie_bracket(m, x1, x2)
-            Abr = mpc.mpc_lie_matrix(m, B, br).matrix
+            Abr = mpc.lie_action(m, B, br.mu, br.xi)
             R = A1 @ A2 - A2 @ A1 - Abr
             assert np.abs(R[:, cols]).max() < 1e-12
 
@@ -362,8 +370,8 @@ def test_kernel_identity_and_normalization():
 def test_unitary_kernel_is_rotated_exponential():
     m = sl.standard_model(2, hbar=0.6)
     rng = np.random.default_rng(RNG_SEED + 13)
-    k = sl.random_unitary_sp(m, rng)
-    u = mpc.mpc_from_symplectic(m, k, np.exp(1.1j))
+    k = sl.expm(sl.random_u_algebra(m, rng))
+    u = mpc.mpc_element(m, sl.cz_decompose(m, k), np.exp(1.1j))
     K = mpc.mpc_kernel(m, u)
     kinv = np.linalg.inv(k)
     for _ in range(5):
@@ -456,8 +464,8 @@ def test_conjugation_check_matches_unfactored_quadrature(quad_order):
                                 rng=np.random.default_rng(seed))
 
     # reference: full-broadcast middle kernel with both weights multiplied in
-    ku = mpc.gaussian_kernel_fn(m, mpc.mpc_kernel(m, u))
-    kinv = mpc.gaussian_kernel_fn(m, mpc.mpc_kernel(m, mpc.mpc_inverse(m, u)))
+    ku = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, u))
+    kinv = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, mpc.mpc_inverse(m, u)))
     kuj = mpc.uj_kernel_fn(m, h)
     target = mpc.uj_kernel_fn(m, fk.heisenberg_element(mpc.sigma(m, u) @ np.array(h.v), h.t))
     nodes, weights = mpc._hermite_rule(quad_order, np.sqrt(2.0 * m.hbar))
@@ -483,8 +491,8 @@ def test_conjugation_check_matches_unfactored_quadrature_at_order_40(hbar):
     got = mpc.conjugation_check(m, u, h, rng=np.random.default_rng(seed))
 
     # reference: the 1600 x 1600 middle kernel on the full tensor grid
-    ku = mpc.gaussian_kernel_fn(m, mpc.mpc_kernel(m, u))
-    kinv = mpc.gaussian_kernel_fn(m, mpc.mpc_kernel(m, mpc.mpc_inverse(m, u)))
+    ku = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, u))
+    kinv = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, mpc.mpc_inverse(m, u)))
     kuj = mpc.uj_kernel_fn(m, h)
     target = mpc.uj_kernel_fn(m, fk.heisenberg_element(mpc.sigma(m, u) @ np.array(h.v), h.t))
     nodes, weights = mpc._hermite_rule(40, np.sqrt(2.0 * m.hbar))

@@ -99,7 +99,7 @@ def test_j_adjoint_is_hermitean_adjoint():
 def test_unitary_decomposes_with_zero_z():
     m = model(2)
     rng = np.random.default_rng(RNG_SEED)
-    k = sl.random_unitary_sp(m, rng)
+    k = sl.expm(sl.random_u_algebra(m, rng))
     p = sl.cz_decompose(m, k)
     assert np.abs(p.Z).max() < 1e-12
     assert np.allclose(p.C, k)
@@ -332,9 +332,12 @@ def test_random_sp_is_symplectic_and_seeded():
 
 
 def test_random_unitary_sp_in_intersection():
+    # expm of a random u(n) element lies in U(n) = Sp(2n, R) cap O(2n)
     m = model(3)
-    k = sl.random_unitary_sp(m, np.random.default_rng(9))
-    assert sl.u_residual(m, k) < 1e-12
+    xi = sl.random_u_algebra(m, np.random.default_rng(9))
+    assert sl.sp_algebra_residual(m, xi) < 1e-14
+    assert np.abs(xi @ m.j - m.j @ xi).max() < 1e-14
+    assert sl.u_residual(m, sl.expm(xi)) < 1e-12
 
 
 def test_sp_algebra_residual():

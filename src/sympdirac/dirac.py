@@ -230,27 +230,6 @@ def _p_vals(ctx: DiracContext, grads) -> np.ndarray:
     return 2.0 * (_dirac_vals(ctx, ds, "Dp") - _dirac_vals(ctx, dp, "Ds"))
 
 
-def _values(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
-    """The values of psi, once psi is known to live on ctx's torus and fiber.
-
-    Every operator reads its input fields through here.  Models are
-    compared by value, so an equal torus built separately is accepted.  The
-    values must have shape grid + (F,): the operators take no batch axis.
-    """
-    t, mine = psi.torus, ctx.torus
-    if (t.model.n, t.model.hbar, t.cutoff, t.grid_size) != (
-            mine.model.n, mine.model.hbar, mine.cutoff, mine.grid_size):
-        raise ValueError("spinor field lives on another torus than ctx")
-    if (psi.basis.n, psi.basis.max_degree) != (ctx.basis.n,
-                                               ctx.basis.max_degree):
-        raise ValueError("spinor field uses another fiber basis than ctx")
-    want = mine.grid_shape + (ctx.basis.dim,)
-    if np.shape(psi.values) != want:
-        raise ValueError(f"spinor values have shape {np.shape(psi.values)},"
-                         f" not grid + (F,) = {want}")
-    return psi.values
-
-
 def _wrap(ctx: DiracContext, vals: np.ndarray) -> SpinorField:
     return SpinorField(torus=ctx.torus, basis=ctx.basis, values=vals)
 
@@ -271,24 +250,29 @@ def nabla_dir(ctx: DiracContext, psi: SpinorField, X: np.ndarray) -> SpinorField
 
 
 def dirac_D(ctx: DiracContext, psi: SpinorField) -> SpinorField:
-    return _wrap(ctx, _dirac_vals(ctx, _values(ctx, psi), "D"))
+    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
+    return _wrap(ctx, _dirac_vals(ctx, vals, "D"))
 
 
 def dirac_Dtilde(ctx: DiracContext, psi: SpinorField) -> SpinorField:
-    return _wrap(ctx, _dirac_vals(ctx, _values(ctx, psi), "Dt"))
+    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
+    return _wrap(ctx, _dirac_vals(ctx, vals, "Dt"))
 
 
 def dirac_Dprime(ctx: DiracContext, psi: SpinorField) -> SpinorField:
-    return _wrap(ctx, _dirac_vals(ctx, _values(ctx, psi), "Dp"))
+    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
+    return _wrap(ctx, _dirac_vals(ctx, vals, "Dp"))
 
 
 def dirac_Dsecond(ctx: DiracContext, psi: SpinorField) -> SpinorField:
-    return _wrap(ctx, _dirac_vals(ctx, _values(ctx, psi), "Ds"))
+    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
+    return _wrap(ctx, _dirac_vals(ctx, vals, "Ds"))
 
 
 def P_op(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """P = 2[D', D'']; degree-preserving and second order."""
-    return _wrap(ctx, _p_vals(ctx, _derivs(ctx, _values(ctx, psi))))
+    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
+    return _wrap(ctx, _p_vals(ctx, _derivs(ctx, vals)))
 
 
 def dirac_via_frame(ctx: DiracContext, psi: SpinorField, frame: np.ndarray,
@@ -316,8 +300,8 @@ def l2_inner(ctx: DiracContext, psi1: SpinorField, psi2: SpinorField) -> complex
     the uniform grid mean integrates trig polynomials below the grid size.
     """
     w = fk.norm_weights(ctx.model, ctx.basis)
-    dens = np.einsum("...F,F,...F->...", _values(ctx, psi1), w,
-                     _values(ctx, psi2).conj())
+    v1, v2 = (ge.spinor_values(p, ctx.torus, ctx.basis) for p in (psi1, psi2))
+    dens = np.einsum("...F,F,...F->...", v1, w, v2.conj())
     return complex((2.0 * np.pi) ** ctx.torus.dim * dens.mean())
 
 
@@ -335,7 +319,7 @@ def oneform_inner(ctx: DiracContext, beta1: np.ndarray,
 
 def nabla_full(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
     """All covariant derivatives, shape (2n,) + grid + (F,)."""
-    vals = _values(ctx, psi)
+    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
     out = np.empty((ctx.torus.dim,) + vals.shape, dtype=complex)
     for b, grad in enumerate(_derivs(ctx, vals)):
         out[b] = grad
@@ -344,7 +328,7 @@ def nabla_full(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
 
 def aj_tau(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """Fiber derivation along the torsion vector, A(tau) psi."""
-    vals = _values(ctx, psi)
+    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
     # Ds = -A
     return _wrap(ctx, _along([_apply(S, vals) for S in ctx.fiber["Ds"]],
                              -ctx.tau))

@@ -518,6 +518,27 @@ class SpinorField:
     values: np.ndarray
 
 
+def spinor_values(psi: SpinorField, torus: TorusModel,
+                  basis: fk.FockBasis) -> np.ndarray:
+    """The values of psi, once psi is known to live on torus and fiber basis.
+
+    Every operator reads its input fields through here.  Models are
+    compared by value, so an equal torus built separately is accepted.  The
+    values must have shape grid + (F,): the operators take no batch axis.
+    """
+    t = psi.torus
+    if (t.model.n, t.model.hbar, t.cutoff, t.grid_size) != (
+            torus.model.n, torus.model.hbar, torus.cutoff, torus.grid_size):
+        raise ValueError("spinor field lives on another torus")
+    if (psi.basis.n, psi.basis.max_degree) != (basis.n, basis.max_degree):
+        raise ValueError("spinor field uses another fiber basis")
+    want = torus.grid_shape + (basis.dim,)
+    if np.shape(psi.values) != want:
+        raise ValueError(f"spinor values have shape {np.shape(psi.values)},"
+                         f" not grid + (F,) = {want}")
+    return psi.values
+
+
 def spinor_field(torus: TorusModel, basis: fk.FockBasis,
                  values: np.ndarray) -> SpinorField:
     values = np.asarray(values, dtype=complex)
@@ -643,7 +664,7 @@ def cov_deriv_values(torus: TorusModel, action: FiberAction, vals: np.ndarray,
 def spinor_cov_deriv(conn: Connection, psi: SpinorField, b: int) -> SpinorField:
     """nabla_b psi = d_b psi + fiber action of (a_b(x), Gamma_b(x))."""
     vals = cov_deriv_values(psi.torus, fiber_action(conn, psi.basis),
-                            psi.values, b)
+                            spinor_values(psi, conn.torus, psi.basis), b)
     return SpinorField(torus=psi.torus, basis=psi.basis, values=vals)
 
 
@@ -651,9 +672,10 @@ def spinor_curvature(conn: Connection, psi: SpinorField, a: int,
                      b: int) -> SpinorField:
     """R(d_a, d_b) psi = nabla_a nabla_b psi - nabla_b nabla_a psi."""
     action = fiber_action(conn, psi.basis)
+    values = spinor_values(psi, conn.torus, psi.basis)
 
     def nabla(c, vals):
         return cov_deriv_values(psi.torus, action, vals, c)
 
-    vals = nabla(a, nabla(b, psi.values)) - nabla(b, nabla(a, psi.values))
+    vals = nabla(a, nabla(b, values)) - nabla(b, nabla(a, values))
     return SpinorField(torus=psi.torus, basis=psi.basis, values=vals)

@@ -22,7 +22,7 @@ the test suite:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -334,23 +334,59 @@ def uj_kernel_fn(model: SymplecticModel, h: fk.HeisenbergElement):
 @cache
 def _gauss_hermite(order: int):
     """One-dimensional Gauss-Hermite nodes and weights, read-only, since every
-    caller shares them."""
+    caller shares them.  The nodes are antisymmetric, s[::-1] == -s bit for
+    bit, with an exact 0 at odd orders."""
     s, wt = np.polynomial.hermite.hermgauss(order)
     s.flags.writeable = False
     wt.flags.writeable = False
     return s, wt
 
 
-def _hermite_rule(order: int, scale: float):
-    """Tensor Gauss-Hermite rule on R^2 for the weight exp(-|x|^2) / pi.
-
-    Returns nodes scale * (s_i, s_j), shape (order^2, 2), and the weights
-    w_i w_j / pi, which sum to 1.
-    """
+def _scaled_rule(model: SymplecticModel, order: int):
+    """Gauss-Hermite nodes r = sqrt(2hbar) s and weights wt for one axis of
+    u = sqrt(2hbar) (s, t), the change of variables of every quadrature."""
     s, wt = _gauss_hermite(order)
-    X, Y = np.meshgrid(s, s, indexing="ij")
-    nodes = scale * np.stack([X.ravel(), Y.ravel()], axis=-1)
-    return nodes, (wt[:, None] * wt[None, :]).ravel() / np.pi
+    return np.sqrt(2.0 * model.hbar) * s, wt
+
+
+def _grid_exponent(model: SymplecticModel, K: GaussianKernel, p: np.ndarray,
+                   slot: int, order: int):
+    """Exponent of kernel_eval(model, K, .) / K.lam on the tensor
+    Gauss-Hermite grid of the given order, factored over its axes (n = 1).
+
+    The node u = (r_a, r_b) of `_scaled_rule` takes the given slot (0:
+    K(u, p), 1: K(p, u)) and the points p, shape (P, 2), take the other.
+    The exponent is c + lin v - q v^2 with v = u in slot 0 and v = conj(u)
+    in slot 1, so with v = r_a + i sigma r_b it splits as
+    c[k] + fx[k, a] + fy[k, b] + kappa r_a r_b; only the last term mixes
+    the axes, and it does not depend on p.  Returns c, shape (P,), fx and
+    fy, shape (P, Q), and the scalar kappa.
+    """
+    r = _scaled_rule(model, order)[0]
+    pc = sl.vec_to_complex(model, p)[:, 0]
+    A, conj_B, Cq = K.A[0, 0], np.conj(K.B[0, 0]), K.Cq[0, 0]
+    if slot == 0:  # p sits in the conjugated slot
+        pc = pc.conj()
+        lin, q, c, i_sigma = 2.0 * A * pc, conj_B, -Cq * pc**2, 1j
+    else:
+        lin, q, c, i_sigma = 2.0 * A * pc, Cq, -conj_B * pc**2, -1j
+    four_hbar = 4.0 * model.hbar
+    lin = lin[:, None] / four_hbar
+    q = q / four_hbar
+    fx = lin * r - q * r**2
+    fy = i_sigma * lin * r + q * r**2
+    return c / four_hbar, fx, fy, -2.0 * i_sigma * q
+
+
+def _exp_rows(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The table exp(r[a] c[j]) for antisymmetric nodes r (r[::-1] == -r):
+    the first (Q + 1) // 2 rows by exp, the rest as their reciprocals."""
+    Q, h = len(r), (len(r) + 1) // 2
+    out = np.empty((Q, len(c)), dtype=complex)
+    np.multiply(r[:h, None], c, out=out[:h])
+    np.exp(out[:h], out=out[:h])
+    np.divide(1.0, out[:Q // 2][::-1], out=out[h:])
+    return out
 
 
 def kernel_compose_numeric(model: SymplecticModel, K1: GaussianKernel,
@@ -360,17 +396,30 @@ def kernel_compose_numeric(model: SymplecticModel, K1: GaussianKernel,
     (K1 o K2)(z, w) = h^{-1} int K1(z, u) K2(u, w) exp(-|u|^2/2hbar) du,
     evaluated with a tensor Gauss-Hermite rule after u = sqrt(2hbar) (s, t).
     K1, K2 are Gaussian kernels; returns a callable over batched real points.
+
+    The sum is never formed node by node.  With the exponents of K1(z, u)
+    and K2(u, w) split by `_grid_exponent`, a pair p = (z, w) gives
+    lam1 lam2 e^{c[p]} sum_ab ux[p, a] X[a, b] uy[p, b] / pi with
+    ux = wt e^{fx1 + fx2}, uy = wt e^{fy1 + fy2} and
+    X = e^{(kappa1 + kappa2) r_a r_b}: one (P, Q) @ (Q, Q) product, 2PQ
+    exponentials, and Q^2 / 2 more for X, whose other rows are reciprocals.
     """
     if model.n != 1:
         raise ValueError("numerical kernel composition implemented for n = 1 only")
-    nodes, weights = _hermite_rule(quad_order, np.sqrt(2.0 * model.hbar))
+    r, wt = _scaled_rule(model, quad_order)
 
     def composed(z, w):
-        z = np.asarray(z, dtype=float)
-        w = np.asarray(w, dtype=float)
-        left = kernel_eval(model, K1, z[..., None, :], nodes)
-        right = kernel_eval(model, K2, nodes, w[..., None, :])
-        return np.sum(weights * left * right, axis=-1)
+        z, w = np.broadcast_arrays(np.asarray(z, dtype=float),
+                                   np.asarray(w, dtype=float))
+        c1, fx1, fy1, k1 = _grid_exponent(model, K1, z.reshape(-1, z.shape[-1]),
+                                          1, quad_order)
+        c2, fx2, fy2, k2 = _grid_exponent(model, K2, w.reshape(-1, w.shape[-1]),
+                                          0, quad_order)
+        ux = wt * np.exp(fx1 + fx2)
+        uy = wt * np.exp(fy1 + fy2)
+        total = np.einsum("pb,pb->p", ux @ _exp_rows(r, (k1 + k2) * r), uy)
+        total *= K1.lam * K2.lam / np.pi * np.exp(c1 + c2)
+        return total.reshape(z.shape[:-1])
 
     return composed
 
@@ -385,16 +434,21 @@ def gaussian_integral_check(model: SymplecticModel, W1: complex, W2: complex,
     determinant appears composes the factor from the antiholomorphic slot
     with the one from the holomorphic slot (brute-force integration pins the
     order; for the conjugate-symmetric arguments arising in the group product
-    both orders coincide).  The left side is evaluated by Gauss-Hermite
-    quadrature, the right by the smooth log det.  Returns (lhs, rhs).
+    both orders coincide).  The left side is the Berezin composition
+    (G o G)(0, 0) at hbar = 1/2pi (so h = 1 and the weight is
+    exp(-pi |z|^2)) of the kernel G with A = 0, B = W1 and Cq = W2, since
+    G(0, z) G(z, 0) is the integrand; it is evaluated by
+    `kernel_compose_numeric`'s factored Gauss-Hermite sum, the right side by
+    the smooth log det.  Returns (lhs, rhs).
     """
     if model.n != 1:
         raise ValueError("implemented for n = 1 only")
     W1, W2 = complex(W1), complex(W2)
-    nodes, weights = _hermite_rule(quad_order, 1.0 / np.sqrt(np.pi))
-    z = nodes[:, 0] + 1j * nodes[:, 1]
-    F = np.exp(-(np.pi / 2.0) * (np.conj(W1) * z**2 + W2 * np.conj(z) ** 2))
-    lhs = complex(np.sum(weights * F))
+    G = GaussianKernel(lam=1.0, A=np.zeros((1, 1)), B=np.array([[W1]]),
+                       Cq=np.array([[W2]]))
+    lhs = complex(kernel_compose_numeric(
+        replace(model, hbar=0.5 / np.pi), G, G, quad_order)(
+        np.zeros(2), np.zeros(2)))
     rhs = complex(np.exp(-0.5 * sl.smooth_log_det(
         model, np.array([[1.0 - W2 * np.conj(W1)]]))))
     return lhs, rhs
@@ -410,41 +464,47 @@ def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergEle
     vector gv.  10 sample points are drawn in the unit box, from
     default_rng(0) when rng is None.
 
-    The middle kernel on the quadrature grid is never formed.  Each node w_j
-    goes through U_j once, giving coeffs_j and conj(c_j); at a tensor node
-    z = (x_a, y_b) the kernel coeffs_j exp((x_a + i y_b) conj(c_j)/2hbar)
-    factors as coeffs_j Ex[a, j] Ey[b, j].  The double sum over the grid is
-    then, for one sample pair at a time, a (Q, Q) @ (Q, Q^2) product
-    followed by a contraction over b: the largest temporary is one Q x Q^2
-    array besides the tables Ex and Ey.
+    No kernel on the quadrature grid is formed node by node.  The outer
+    kernels K_U(z, u) and K_{U^{-1}}(u, w) factor over the grid axes by
+    `_grid_exponent`, and each sample's Q x Q left and right factors are
+    built from those inside the sample loop.  Each node w_j goes through U_j
+    once, giving coeffs_j and conj(c_j); at a tensor node z = (x_a, y_b) the
+    middle kernel coeffs_j exp((x_a + i y_b) conj(c_j)/2hbar) factors as
+    coeffs_j Ex[a, j] Ey[b, j], and since the nodes are antisymmetric, half
+    the rows of Ex and Ey are reciprocals of the other half.  The double sum
+    over the grid is then, for one sample pair at a time, a (Q, Q) @ (Q, Q^2)
+    product followed by a contraction over b: the largest temporary is one
+    Q x Q^2 array besides the tables Ex and Ey.
     """
     if model.n != 1:
         raise ValueError("implemented for n = 1 only")
     if rng is None:
         rng = np.random.default_rng(0)
+    Q = quad_order
     g = sigma(model, u)
     ku = mpc_kernel(model, u)
     kinv = mpc_kernel(model, mpc_inverse(model, u))
-    nodes, weights = _hermite_rule(quad_order, np.sqrt(2.0 * model.hbar))
+    r, wt = _scaled_rule(model, Q)
+    # node (a, b) sits at (r_a, r_b), row a * Q + b
+    nodes = np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
     coeffs, cc = _uj_route(model, h, nodes)
     target = uj_kernel_fn(model, fk.heisenberg_element(g @ np.array(h.v), h.t))
     z = rng.uniform(-1, 1, size=(10, 2))
     w = rng.uniform(-1, 1, size=(10, 2))
-    left = (kernel_eval(model, ku, z[:, None, :], nodes) * weights).reshape(
-        -1, quad_order, quad_order)
-    right = kernel_eval(model, kinv, nodes, w[:, None, :]) * weights * coeffs
-    # node (a, b) sits at (x_a, y_b); the tables are built in place
-    x = nodes[::quad_order, 0, None]
-    y = nodes[:quad_order, 1, None]
-    Ex = x * cc[:, 0]
-    Ex /= 2.0 * model.hbar
-    np.exp(Ex, out=Ex)
-    Ey = 1j * y * cc[:, 0]
-    Ey /= 2.0 * model.hbar
-    np.exp(Ey, out=Ey)
+    cl, lx, ly, kl = _grid_exponent(model, ku, z, 1, Q)
+    cr, rx, ry, kr = _grid_exponent(model, kinv, w, 0, Q)
+    lx, ly, rx, ry = (wt * np.exp(f) for f in (lx, ly, rx, ry))
+    Xl = _exp_rows(r, kl * r)
+    Xr = _exp_rows(r, kr * r)
+    Xr *= coeffs.reshape(Q, Q)
+    Ex = _exp_rows(r, cc[:, 0] / (2.0 * model.hbar))
+    Ey = _exp_rows(r, 1j * cc[:, 0] / (2.0 * model.hbar))
     lhs = np.empty(len(z), dtype=complex)
     inner = np.empty_like(Ex)
     for k in range(len(z)):
-        np.matmul(left[k].T, Ex, out=inner)
-        lhs[k] = np.sum(np.einsum("bj,bj->j", inner, Ey) * right[k])
+        left = Xl * np.multiply.outer(lx[k], ly[k])
+        right = Xr * np.multiply.outer(rx[k], ry[k])
+        np.matmul(left.T, Ex, out=inner)
+        lhs[k] = np.sum(np.einsum("bj,bj->j", inner, Ey) * right.ravel())
+    lhs *= ku.lam * kinv.lam / np.pi**2 * np.exp(cl + cr)
     return float(np.abs(lhs - target(z, w)).max())

@@ -520,6 +520,32 @@ def test_spinor_cov_deriv_flat_and_central():
     assert np.abs(got.values - want).max() < 1e-13
 
 
+def test_spinor_derivatives_reject_misshapen_values():
+    # a SpinorField built directly skips spinor_field's shape check; with a
+    # leading batch axis both used to return a wrong answer with no error
+    # (relative errors between 2 and 7 against three single calls at
+    # n = 1, M = 3, N = 4, depending on the draw)
+    t = small_torus(cutoff=3)
+    B = fk.fock_basis(1, 4)
+    rng = np.random.default_rng(RNG_SEED + 3)
+    conn = ge.random_connection(t, rng, cutoff=1, unitary=True)
+    single = [ge.random_spinor_field(t, B, rng, cutoff=1) for _ in range(3)]
+    batched = ge.SpinorField(torus=t, basis=B,
+                             values=np.stack([p.values for p in single]))
+    short = ge.SpinorField(torus=t, basis=B,
+                           values=single[0].values[..., :B.dim - 1])
+    for psi in (batched, short):
+        with pytest.raises(ValueError, match=r"grid \+ \(F,\)"):
+            ge.spinor_cov_deriv(conn, psi, 0)
+        with pytest.raises(ValueError, match=r"grid \+ \(F,\)"):
+            ge.spinor_curvature(conn, psi, 0, 1)
+    elsewhere = ge.random_spinor_field(small_torus(cutoff=2), B, rng, cutoff=1)
+    with pytest.raises(ValueError, match="another torus"):
+        ge.spinor_cov_deriv(conn, elsewhere, 0)
+    assert ge.spinor_curvature(conn, single[0], 0, 1).values.shape == \
+        single[0].values.shape
+
+
 def test_degree_preservation_iff_unitary():
     t = small_torus()
     B = fk.fock_basis(1, 4)

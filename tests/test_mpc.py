@@ -19,6 +19,15 @@ def models():
     return sl.standard_model(1, hbar=0.7), sl.standard_model(2, hbar=1.3)
 
 
+def tensor_rule(order, scale):
+    """Node-by-node tensor Gauss-Hermite rule on R^2 for exp(-|x|^2) / pi:
+    nodes scale * (s_a, s_b) in row a * order + b, weights w_a w_b / pi."""
+    s, wt = np.polynomial.hermite.hermgauss(order)
+    X, Y = np.meshgrid(s, s, indexing="ij")
+    nodes = scale * np.stack([X.ravel(), Y.ravel()], axis=-1)
+    return nodes, (wt[:, None] * wt[None, :]).ravel() / np.pi
+
+
 def assert_same_element(model, u1, u2, tol=1e-10):
     assert np.abs(u1.pair.C - u2.pair.C).max() < tol
     assert np.abs(u1.pair.Z - u2.pair.Z).max() < tol
@@ -453,7 +462,7 @@ def test_uj_kernel_routes_each_w_once_and_broadcasts(monkeypatch):
             assert got[idx] == pytest.approx(closed(zb[idx], wb[idx]), rel=1e-12)
 
 
-@pytest.mark.parametrize("quad_order", [8, 12])
+@pytest.mark.parametrize("quad_order", [8, 11, 12])
 def test_conjugation_check_matches_unfactored_quadrature(quad_order):
     m = sl.standard_model(1, hbar=0.7)
     rng = np.random.default_rng(RNG_SEED + 22)
@@ -468,7 +477,7 @@ def test_conjugation_check_matches_unfactored_quadrature(quad_order):
     kinv = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, mpc.mpc_inverse(m, u)))
     kuj = mpc.uj_kernel_fn(m, h)
     target = mpc.uj_kernel_fn(m, fk.heisenberg_element(mpc.sigma(m, u) @ np.array(h.v), h.t))
-    nodes, weights = mpc._hermite_rule(quad_order, np.sqrt(2.0 * m.hbar))
+    nodes, weights = tensor_rule(quad_order, np.sqrt(2.0 * m.hbar))
     zb, wb = np.broadcast_arrays(nodes[:, None, :], nodes[None, :, :])
     M = kuj(zb, wb) * weights[:, None] * weights[None, :]
     sample = np.random.default_rng(seed)
@@ -495,7 +504,7 @@ def test_conjugation_check_matches_unfactored_quadrature_at_order_40(hbar):
     kinv = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, mpc.mpc_inverse(m, u)))
     kuj = mpc.uj_kernel_fn(m, h)
     target = mpc.uj_kernel_fn(m, fk.heisenberg_element(mpc.sigma(m, u) @ np.array(h.v), h.t))
-    nodes, weights = mpc._hermite_rule(40, np.sqrt(2.0 * m.hbar))
+    nodes, weights = tensor_rule(40, np.sqrt(2.0 * m.hbar))
     zb, wb = np.broadcast_arrays(nodes[:, None, :], nodes[None, :, :])
     M = kuj(zb, wb) * weights[:, None] * weights[None, :]
     sample = np.random.default_rng(seed)
@@ -515,11 +524,12 @@ def test_conjugation_check_memory_peak():
     u = mpc.random_mpc(m, rng, scale=0.4)
     h = fk.heisenberg_element(rng.uniform(-1, 1, size=2), 0.3)
     for Q in (40, 60):
-        # complex words: the per-sample Q x Q^2 product and the tables Ex
-        # and Ey, then the 10 x Q^2 side factors left and right, and one
-        # more 10 x Q^2 for the node arrays and each sample's contraction;
-        # the Q^2 x Q^2 middle kernel alone would take 41 MB at Q = 40
-        bound = 16 * (3 * Q**3 + 3 * 10 * Q**2)
+        # complex words: the tables Ex and Ey and the per-sample Q x Q^2
+        # product, then Q^2 each for the node array, the routed coeffs and
+        # centers, the factor tables Xl and Xr, each sample's left and right
+        # and its contraction; the 10 x Q^2 side factors are never formed,
+        # and the Q^2 x Q^2 middle kernel alone would take 41 MB at Q = 40
+        bound = 16 * (3 * Q**3 + 16 * Q**2)
         mpc.conjugation_check(m, u, h, quad_order=Q)  # warm
         tracemalloc.start()
         try:
@@ -529,6 +539,98 @@ def test_conjugation_check_memory_peak():
         finally:
             tracemalloc.stop()
         assert peak <= bound <= 1.5 * peak
+
+
+def test_kernel_composition_memory_peak():
+    m = sl.standard_model(1, hbar=0.7)
+    rng = np.random.default_rng(RNG_SEED + 26)
+    u1 = mpc.random_mpc(m, rng, scale=0.45)
+    u2 = mpc.random_mpc(m, rng, scale=0.45)
+    Q, P = 60, 8
+    comp = mpc.kernel_compose_numeric(m, mpc.mpc_kernel(m, u1),
+                                      mpc.mpc_kernel(m, u2), quad_order=Q)
+    z = rng.uniform(-1, 1, size=(P, 2))
+    w = rng.uniform(-1, 1, size=(P, 2))
+    comp(z, w)  # warm
+    # complex words: the Q x Q cross table, its reciprocal half and the
+    # (P, Q) factors of both kernels; the two (P, Q^2) kernel tables of the
+    # node-by-node sum alone would take 2 P Q^2
+    bound = 16 * (2 * Q**2 + 8 * P * Q)
+    tracemalloc.start()
+    try:
+        comp(z, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound <= 1.5 * peak
+    assert 4 * bound < 16 * 2 * P * Q**2
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 10, 11, 40, 61, 256])
+def test_exp_rows_matches_the_full_table(order):
+    s = mpc._gauss_hermite(order)[0]
+    assert np.array_equal(s[::-1], -s)  # the reciprocal rows rest on this
+    r = 1.3 * s
+    rng = np.random.default_rng(order)
+    c = rng.uniform(-1, 1, size=50) + 1j * rng.uniform(-1, 1, size=50)
+    want = np.exp(np.multiply.outer(r, c))
+    assert np.allclose(mpc._exp_rows(r, c), want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("order", [10, 11])
+def test_kernel_composition_matches_node_by_node_sum(order):
+    m = sl.standard_model(1, hbar=0.6)
+    rng = np.random.default_rng(RNG_SEED + 27)
+    u1 = mpc.random_mpc(m, rng, scale=0.45)
+    u2 = mpc.random_mpc(m, rng, scale=0.45)
+    K1, K2 = mpc.mpc_kernel(m, u1), mpc.mpc_kernel(m, u2)
+    z = rng.uniform(-1, 1, size=(8, 2))
+    w = rng.uniform(-1, 1, size=(8, 2))
+    got = mpc.kernel_compose_numeric(m, K1, K2, quad_order=order)(z, w)
+
+    nodes, weights = tensor_rule(order, np.sqrt(2.0 * m.hbar))
+    direct = np.sum(weights * mpc.kernel_eval(m, K1, z[:, None, :], nodes)
+                    * mpc.kernel_eval(m, K2, nodes, w[:, None, :]), axis=-1)
+    exact = mpc.kernel_eval(m, mpc.mpc_kernel(m, mpc.mpc_mul(m, u1, u2)), z, w)
+    scale = np.abs(exact).max()
+    # a truncated rule: this pins the quadrature sum itself
+    assert np.abs(direct - exact).max() > 1e-10 * scale
+    assert np.abs(got - direct).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("order", [10, 11])
+def test_gaussian_integral_matches_node_by_node_sum(order):
+    m = sl.standard_model(1)
+    rng = np.random.default_rng(RNG_SEED + 28)
+    for _ in range(4):
+        r1, r2 = rng.uniform(0.1, 0.8, size=2)
+        W1 = r1 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        W2 = r2 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        lhs, rhs = mpc.gaussian_integral_check(m, W1, W2, quad_order=order)
+
+        nodes, weights = tensor_rule(order, 1.0 / np.sqrt(np.pi))
+        z = nodes[:, 0] + 1j * nodes[:, 1]
+        direct = np.sum(weights * np.exp(-(np.pi / 2.0) * (
+            np.conj(W1) * z**2 + W2 * np.conj(z) ** 2)))
+        assert abs(direct - rhs) > 1e-9
+        assert abs(lhs - direct) <= 1e-13 * abs(rhs)
+
+
+def test_kernel_composition_keeps_the_batch_shape():
+    m = sl.standard_model(1, hbar=0.6)
+    rng = np.random.default_rng(RNG_SEED + 29)
+    K1 = mpc.mpc_kernel(m, mpc.random_mpc(m, rng, scale=0.45))
+    K2 = mpc.mpc_kernel(m, mpc.random_mpc(m, rng, scale=0.45))
+    comp = mpc.kernel_compose_numeric(m, K1, K2, quad_order=20)
+    z = rng.uniform(-1, 1, size=(3, 1, 2))
+    w = rng.uniform(-1, 1, size=(4, 2))
+    got = comp(z, w)
+    assert got.shape == (3, 4)
+    for i, j in np.ndindex(3, 4):
+        assert got[i, j] == pytest.approx(complex(comp(z[i, 0], w[j])),
+                                          rel=1e-13)
+    with pytest.raises(ValueError):
+        comp(np.zeros((4, 3)), np.zeros((4, 3)))
 
 
 def test_kernel_composition_matches_group_law():

@@ -159,10 +159,25 @@ def _validator():
     return cls(CONFIG_SCHEMA)
 
 
+def _non_finite(value, path: str):
+    """(path, value) of each NaN or infinite number, as json.load reads
+    NaN, Infinity and 1e400 and the schema's "number" takes them."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _non_finite(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _non_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path, value
+
+
 def build_setup(config: dict) -> checks.RunSetup:
     """Validated setup; integer fields are cast, as the schema admits 1.0."""
     import jsonschema
 
+    for path, value in _non_finite(config, "config"):
+        raise ConfigError(f"{path} is {value}, not a finite number")
     error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
     if error is not None:
         raise ConfigError(f"config rejected by schema: {error.message}") \
@@ -224,8 +239,6 @@ def _mode_indices(entry: dict, d: int, torus: ge.TorusModel) -> tuple:
 
 def run_verify(config: dict, suites=None) -> tuple[dict, int]:
     """Run the selected suites and assemble the report; (report, exit code)."""
-    import scipy
-
     setup = build_setup(config)
     chosen = tuple(suites) if suites else setup.suites
     for name in chosen:
@@ -239,13 +252,23 @@ def run_verify(config: dict, suites=None) -> tuple[dict, int]:
             "version": __version__,
             "seed": setup.seed,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _installed_version("scipy"),
             "threads": os.environ.get("SYMPDIRAC_THREADS"),
         },
         "checks": rows,
         "all_pass": all(row["pass"] for row in rows),
     }
     return report, 0 if report["all_pass"] else 1
+
+
+@functools.cache
+def _installed_version(package: str) -> str | None:
+    """package's version from its metadata, without importing it, or None."""
+    import importlib.metadata
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return None
 
 
 def run_spectrum(config: dict, degrees) -> list[tuple[int, int, float, float]]:

@@ -69,18 +69,19 @@ class DiracContext:
         is the coefficient of flat grid mode m (row major, FFT order) of
         entry e, and where[t, i, j] the entry holding fiber entry (i, j) of
         A^p (t = 0), A^s (t = 1) or [A^p, A^s] (t = 2).  Only the entries
-        that the slot pattern of ctx.action can make non-zero are built and
+        that the terms of ctx.action can make non-zero are built and
         transformed, in one call; where sends every other (i, j) to the last
         column of table, which is zero.  Built on first use, so one transform
         serves every spectrum and symbol_check on this context.
         """
         act, torus = self.action, self.torus
         F = act.cols.shape[0]
-        rows, ks = act.slots
         weights, keep, x, y, target = _p_hat_pattern(self)
-        # the slot coefficients as (stored slots, 2n) x flat grid
-        entries = weights[:, keep].T @ act.coef[:, ks, ..., rows].reshape(
-            len(weights), torus.grid_size ** torus.dim)
+        # the coefficient fields as (2n, terms) x flat grid rows
+        P = torus.grid_size ** torus.dim
+        entries = weights[:, keep].T @ np.moveaxis(
+            act.terms.reshape(torus.dim, P, len(act.tensors)), -1, 1
+        ).reshape(len(weights), P)
         # [A^p, A^s] from the products A^X[i, h] A^Y[h, j] of entries of
         # different tables, A^s A^p with a minus sign, summed per (i, j)
         prods = entries[x]
@@ -103,25 +104,19 @@ class DiracContext:
 
 
 def _p_hat_pattern(ctx: DiracContext) -> tuple:
-    """The fiber entries of ctx.p_hat, from the slot pattern of ctx.action.
+    """The fiber entries of ctx.p_hat, from the terms of ctx.action.
 
-    Returns (weights, keep, x, y, target): weights[(slot, b), e] is the
-    coefficient of slot (r, c) of direction b in flat entry e = (t, i, j)
-    of (A^p, A^s), t = 0 or 1; keep lists the entries some slot reaches;
-    and the commutator entry target[m] = i F + j sums the products
+    Returns (weights, keep, x, y, target): weights[(b, q), (t, i, j)] is
+    (S^t_b T_q)[i, j], the coefficient of term q of direction b in entry
+    (i, j) of A^p (t = 0) or A^s (t = 1), with S^t = ctx.contract["Dp"] or
+    ["Ds"] and T = ctx.action.tensors; keep lists the entries some term
+    reaches; and the commutator entry target[m] = i F + j sums the products
     keep[x[m]] keep[y[m]] of entries (t, i, h) and (1 - t, h, j), with a
     minus sign for t = 1, sorted by target.  No array here has a grid axis.
     """
-    act = ctx.action
-    F = act.cols.shape[0]
-    rows, ks = act.slots
-    cols = act.cols[rows, ks]
-    # slot (r, c) of direction b adds S^X_b[i, r] coef to A^X[i, c]
-    weights = np.zeros((len(rows), ctx.torus.dim, 2, F, F), dtype=complex)
-    for t, name in enumerate(("Dp", "Ds")):
-        weights[np.arange(len(rows)), :, t, :, cols] = np.moveaxis(
-            ctx.contract[name][..., rows], -1, 0)
-    weights = weights.reshape(len(rows) * ctx.torus.dim, 2 * F * F)
+    F = ctx.basis.dim
+    S = np.stack([ctx.contract["Dp"], ctx.contract["Ds"]])[:, :, None]
+    weights = np.moveaxis(S @ ctx.action.tensors, 0, 2).reshape(-1, 2 * F * F)
     keep = np.flatnonzero(weights.any(axis=0))
     t, i, j = np.unravel_index(keep, (2, F, F))
     x, y = np.nonzero((j[:, None] == i) & (t[:, None] != t))
@@ -131,23 +126,24 @@ def _p_hat_pattern(ctx: DiracContext) -> tuple:
 
 
 def _p_hat_build_bytes(ctx: DiracContext) -> int:
-    """Peak bytes of building ctx.p_hat, bounded from ctx.action's slots.
+    """Peak bytes of building ctx.p_hat, bounded from ctx.action's terms.
 
-    Counted in grid-sized complex arrays: W gathered slot rows, E kept
+    Counted in grid-sized complex arrays: W term rows (2n per term), E kept
     entries, X entry products, C commutator entries and S = E + C + 1
     table columns.  The build holds at most W + E of them while it
-    contracts the slots, E + 2X while it multiplies, E + X + S and then
+    contracts the terms, E + 2X while it multiplies, E + X + S and then
     X + C + S while it stacks, and 3S while it transforms (the stacked
     entries and two FFT buffers, the last of which is the table).  The
-    weights, and as much again for index arrays and FFT scratch, come on
-    top.
+    weights and the copy of their kept columns, the int64 index arrays
+    (E + 3X + 2C + 3F^2 entries) and 8 KiB of FFT scratch (3.7 KB measured
+    at n = 1) come on top.
     """
     weights, keep, x, _, target = _p_hat_pattern(ctx)
     W, E, X, C = len(weights), len(keep), len(x), len(np.unique(target))
     S = E + C + 1
     arrays = max(W + E, E + 2 * X, E + X + S, X + C + S, 3 * S)
-    return (16 * ctx.torus.grid_size ** ctx.torus.dim * arrays
-            + 2 * weights.nbytes)
+    return (16 * ctx.torus.grid_size ** ctx.torus.dim * arrays + 2 * weights.nbytes
+            + 8 * (E + 3 * X + 2 * C + 3 * ctx.basis.dim ** 2) + 8 * 2 ** 10)
 
 
 def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:

@@ -14,7 +14,8 @@ fiber line.  The induced spinor derivative is
 
     nabla_b psi = d_b psi + act(a_b(x), Gamma_b(x)) psi(x)
 
-with act the fiber action mpc.lie_action of (mu, xi) pairs.  When
+with act the fiber action mpc.lie_action of (mu, xi) pairs, held as the
+coefficient fields and constant matrices of mpc.lie_action_terms.  When
 every Gamma_b(x) commutes with j (the connection is unitary) the fiber
 action preserves polynomial degree.
 """
@@ -254,9 +255,10 @@ def make_connection(torus: TorusModel, Gamma: np.ndarray, a: np.ndarray,
     Om = torus.model.Omega
     if check:
         sp_res = np.abs(np.swapaxes(Gamma, -1, -2) @ Om + Om @ Gamma).max()
-        if sp_res > ATOL_POINTWISE:
+        # negated, so that a NaN fails each test
+        if not sp_res <= ATOL_POINTWISE:
             raise ValueError("Gamma_b(x) must preserve the symplectic form")
-        if np.abs(a.real).max() > ATOL_POINTWISE:
+        if not (np.isfinite(a).all() and np.abs(a.real).max() <= ATOL_POINTWISE):
             raise ValueError("a must be purely imaginary")
     j = torus.model.j
     unitary = bool(np.abs(Gamma @ j - j @ Gamma).max() <= ATOL_POINTWISE)
@@ -285,12 +287,12 @@ def connection_from_modes(torus: TorusModel, gamma_modes, a_modes) -> Connection
     a = np.zeros((d,) + torus.grid_shape, dtype=complex)
     for b, kvec, kind, matrix in gamma_modes:
         matrix = np.asarray(matrix, dtype=float)
-        if sl.sp_algebra_residual(torus.model, matrix) > ATOL_POINTWISE:
+        if not sl.sp_algebra_residual(torus.model, matrix) <= ATOL_POINTWISE:
             raise ValueError("Gamma mode coefficient must lie in sp(2n, R)")
         Gamma[b] += trig_field(torus, kvec, kind)[..., None, None] * matrix
     for b, kvec, kind, value in a_modes:
         value = complex(value)
-        if abs(value.real) > ATOL_POINTWISE:
+        if not (np.isfinite(value) and abs(value.real) <= ATOL_POINTWISE):
             raise ValueError("a mode coefficient must be purely imaginary")
         a[b] += trig_field(torus, kvec, kind) * value
     return make_connection(torus, Gamma, a, check=False)
@@ -560,91 +562,63 @@ def random_spinor_field(torus: TorusModel, basis: fk.FockBasis,
     return spinor_field(torus, basis, vals)
 
 
-def _fiber_gamma(conn: Connection) -> np.ndarray:
-    # a unitary Gamma is projected to its j-linear part, so the degree
-    # +/-2 parts of its fiber action vanish identically
-    m = conn.torus.model
-    return sl.linear_part(m, conn.Gamma) if conn.unitary else conn.Gamma
-
-
 def lie_matrix_field(conn: Connection, basis: fk.FockBasis) -> np.ndarray:
     """Pointwise fiber matrices of (a_b(x), Gamma_b(x)), shape (2n,)+grid+(F,F).
 
-    mpc.lie_action applied at every grid point.  A unitary Gamma is projected
-    to its j-linear part first, so the degree +/-2 parts vanish identically.
-    The dense reference form of fiber_action.
+    The terms of fiber_action times its tensors: the dense reference form of
+    its row-sparse kernel.
     """
-    return mpc.lie_action(conn.torus.model, basis, conn.a, _fiber_gamma(conn))
+    action = fiber_action(conn, basis)
+    return np.tensordot(action.terms, action.tensors, axes=1)
 
 
 @dataclass(frozen=True, eq=False)
 class FiberAction:
-    """A lie_matrix_field in row-sparse (ELL) storage.
+    """The fiber action of a connection as terms and in row-sparse storage.
 
-    Row r of every fiber matrix may be non-zero only in the columns
-    cols[r, :counts[r]], the exact != 0 pattern over all points and
-    directions.  coef[b, k][..., r] is the direction-b entry at
+    Direction b acts at each grid point as sum_q terms[b][..., q] tensors[q],
+    the split of mpc.lie_action_terms less the terms that are zero at every
+    point and direction.  Row r of every fiber matrix may be non-zero only
+    in the columns cols[r, :counts[r]], the union of the tensors' != 0
+    patterns (ELL storage).  coef[b, k][..., r] is the direction-b entry at
     (r, cols[r, k]) at every grid point; the padded slots k >= counts[r]
     hold column 0 and coefficient 0.
     """
 
-    cols: np.ndarray    # (F, K) int
-    counts: np.ndarray  # (F,) int
-    coef: np.ndarray    # (2n, K) + grid + (F,), complex
-
-    @property
-    def slots(self) -> tuple:
-        """(rows, ks): the stored, non-padded slots, row by row."""
-        return np.nonzero(np.arange(self.cols.shape[1]) < self.counts[:, None])
-
-
-def _row_sparse(direction_mats) -> FiberAction:
-    """FiberAction of the fiber matrix fields grid + (F, F), one per direction.
-
-    direction_mats is consumed one direction at a time; only each direction's
-    non-zero entries are kept until the pattern of all of them is known.
-    """
-    masks, entries = [], []
-    for mats in direction_mats:
-        F = mats.shape[-1]
-        flat = mats.reshape(mats.shape[:-2] + (F * F,))
-        mask = flat.reshape(-1, F * F).any(axis=0)  # != 0 somewhere
-        masks.append(mask)
-        # grid + (entries non-zero in this direction, then one zero)
-        kept = np.take(flat, np.append(np.flatnonzero(mask), 0), axis=-1)
-        kept[..., -1] = 0
-        entries.append(kept)
-    grid = mats.shape[:-2]
-    pattern = np.logical_or.reduce(masks).reshape(F, F)
-    counts = pattern.sum(axis=1)
-    K = counts.max(initial=0)
-    padded = np.arange(K) >= counts[:, None]
-    cols = np.zeros((F, K), dtype=int)
-    cols[~padded] = np.nonzero(pattern)[1]  # row by row, as the slots
-    coef = np.empty((len(masks), K) + grid + (F,), dtype=complex)
-    for b, (mask, kept) in enumerate(zip(masks, entries)):
-        # where entry (r, c) sits in kept; the last, zero, column serves the
-        # padded slots and the entries that are zero in this direction
-        zero = int(mask.sum())
-        where = np.full(F * F, zero)
-        where[mask] = np.arange(zero)
-        where = where.reshape(F, F)[np.arange(F)[:, None], cols]
-        where[padded] = zero
-        for k in range(K):
-            coef[b, k] = np.take(kept, where[:, k], axis=-1)
-    return FiberAction(cols=cols, counts=counts, coef=coef)
+    terms: np.ndarray    # (2n,) + grid + (Q,), complex
+    tensors: np.ndarray  # (Q, F, F)
+    cols: np.ndarray     # (F, K) int
+    counts: np.ndarray   # (F,) int
+    coef: np.ndarray     # (2n, K) + grid + (F,), complex
 
 
 def fiber_action(conn: Connection, basis: fk.FockBasis) -> FiberAction:
-    """lie_matrix_field(conn, basis) in row-sparse storage.
+    """The fiber action of (a_b(x), Gamma_b(x)) as terms and row-sparse.
 
-    Built one direction at a time, so the dense matrices of only one
-    direction exist at once.
+    A unitary Gamma is projected to its j-linear part, so the action has no
+    degree +/-2 term.  Slot k of row r takes entry (r, cols[r, k]) of every
+    tensor, and the coefficient fields of all slots, the terms times those
+    entries, are one (points, Q) x (Q, K F) gemm: no grid + (F, F) array is
+    formed.
     """
     m = conn.torus.model
-    Gamma = _fiber_gamma(conn)
-    return _row_sparse(mpc.lie_action(m, basis, conn.a[b], Gamma[b])
-                       for b in range(conn.torus.dim))
+    X, T = mpc.lie_action_terms(m, basis, conn.a, sl.linear_part(m, conn.Gamma)
+                                if conn.unitary else conn.Gamma)
+    live = X.reshape(-1, X.shape[-1]).any(axis=0)
+    X, T = X[..., live], T[live]
+    pattern = T.any(axis=0)
+    counts = pattern.sum(axis=1)
+    padded = np.arange(counts.max(initial=0)) >= counts[:, None]
+    cols = np.zeros(padded.shape, dtype=int)
+    cols[~padded] = np.nonzero(pattern)[1]  # row by row, as the slots
+    # slots[q, r, k]: entry (r, cols[r, k]) of tensor q, 0 where padded
+    slots = np.where(padded, 0.0, T[:, np.arange(len(cols))[:, None], cols])
+    Q, F, K = slots.shape
+    d, P = conn.torus.dim, math.prod(conn.torus.grid_shape)
+    coef = X.reshape(d * P, Q) @ slots.transpose(0, 2, 1).reshape(Q, K * F)
+    coef = np.ascontiguousarray(coef.reshape(d, P, K, F).transpose(0, 2, 1, 3))
+    return FiberAction(terms=X, tensors=T, cols=cols, counts=counts,
+                       coef=coef.reshape((d, K) + X.shape[1:-1] + (F,)))
 
 
 def cov_deriv_values(torus: TorusModel, action: FiberAction, vals: np.ndarray,

@@ -172,32 +172,37 @@ def mpc_lie_element(model: SymplecticModel, mu: complex,
     return MpcLieElement(mu=complex(mu), xi=np.asarray(xi, dtype=float))
 
 
+def lie_action_terms(model: SymplecticModel, basis: fk.FockBasis,
+                     mu: complex | np.ndarray, xi: np.ndarray) -> tuple:
+    """(X, T) with lie_action(model, basis, mu, xi) = sum_q X[..., q] T[q].
+
+    T, shape (Q, F, F), holds the identity and -shift[k, l], and
+    raise2[k, l] / 4hbar and -hbar lower2[k, l] (fock.transfer_tensors) only
+    when zeta is non-zero somewhere, so a j-linear xi has no degree +/-2
+    term.  X, shape S + (Q,), holds mu, H_kl, conj(W_kl) and W_kl, with H
+    and W the complex matrices of eta and zeta.
+    """
+    H = sl.complex_matrix(model, sl.linear_part(model, xi), check=False)
+    W = sl.antilinear_matrix(model, sl.antilinear_part(model, xi), check=False)
+    shift, raise2, lower2 = fk.transfer_tensors(basis.n, basis.max_degree)
+    S, F = H.shape[:-2], basis.dim
+    X = [np.broadcast_to(mu, S)[..., None], H, W.conj(), W]
+    T = [np.eye(F), -shift, raise2 / (4.0 * model.hbar), -model.hbar * lower2]
+    parts = 4 if np.abs(W).max() > 0 else 2
+    return (np.concatenate([x.reshape(S + (-1,)) for x in X[:parts]], axis=-1),
+            np.concatenate([t.reshape(-1, F, F) for t in T[:parts]]))
+
+
 def lie_action(model: SymplecticModel, basis: fk.FockBasis,
                mu: complex | np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Fiber matrices of (mu, xi) f = mu f - (df)(eta z) + <z, zeta z>/4hbar f
     - hbar sum_i d(df(e_i))(zeta e_i), with xi = eta + zeta the j-split.
 
-    Batched over leading axes: mu of shape S and xi of shape S + (2n, 2n)
-    give S + (F, F).  The zeta terms are skipped when zeta vanishes, so a
-    j-linear xi gives exactly degree-preserving matrices.  Each transfer
-    tensor is contracted as one (points, n^2) x (n^2, F^2) gemm.
+    Batched: mu of shape S and xi of shape S + (2n, 2n) give S + (F, F), the
+    terms of lie_action_terms summed as one (points, Q) x (Q, F^2) gemm.
     """
-    H = sl.complex_matrix(model, sl.linear_part(model, xi), check=False)
-    W = sl.antilinear_matrix(model, sl.antilinear_part(model, xi), check=False)
-    shift, raise2, lower2 = fk.transfer_tensors(basis.n, basis.max_degree)
-    S, n, F = H.shape[:-2], basis.n, basis.dim
-
-    def contract(X, T):
-        return (X.reshape(S + (n * n,)) @ T.reshape(n * n, F * F)
-                ).reshape(S + (F, F))
-
-    out = contract(-H, shift)
-    diag = np.arange(F)
-    out[..., diag, diag] += np.asarray(mu)[..., None]
-    if np.abs(W).max() > 0:
-        out += contract(W.conj(), raise2) / (4.0 * model.hbar)
-        out -= model.hbar * contract(W, lower2)
-    return out
+    X, T = lie_action_terms(model, basis, mu, xi)
+    return (X @ T.reshape(len(T), -1)).reshape(X.shape[:-1] + T.shape[1:])
 
 
 def mpc_lie_bracket(model: SymplecticModel, x1: MpcLieElement,

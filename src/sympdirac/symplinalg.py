@@ -154,8 +154,8 @@ def standard_model(n: int, hbar: float = 1.0) -> SymplecticModel:
     """Standard model on R^{2n}: Omega = [[0,I],[-I,0]], j = [[0,-I],[I,0]]."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    if not 0 < hbar < np.inf:
+        raise ValueError(f"hbar must be positive and finite, not {hbar}")
     eye = np.eye(n)
     zero = np.zeros((n, n))
     Omega = np.block([[zero, eye], [-eye, zero]])

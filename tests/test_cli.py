@@ -150,6 +150,22 @@ def test_verify_environment_records_versions_and_threads(monkeypatch):
     assert cli.run_verify(cfg)[0]["environment"]["threads"] == "3"
 
 
+def test_verify_records_a_null_scipy_version_without_scipy(monkeypatch):
+    import importlib.metadata
+
+    def absent(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    cfg = cli.default_config()
+    cfg["suites"] = ["cz"]
+    monkeypatch.setattr(importlib.metadata, "version", absent)
+    cli._installed_version.cache_clear()
+    try:
+        assert cli.run_verify(cfg)[0]["environment"]["scipy"] is None
+    finally:
+        cli._installed_version.cache_clear()
+
+
 def test_verify_failure_exit_code():
     cfg = cli.default_config()
     cfg["suites"] = ["cz"]
@@ -325,6 +341,31 @@ def test_mode_entries_of_the_wrong_size_are_refused(tmp_path, capsys, modes,
     path.write_text(json.dumps(cfg))
     assert cli.main(["verify", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys, literal", [
+    (("model", "hbar"), "NaN"),
+    (("model", "hbar"), "1e400"),  # json.load reads it as inf
+    (("connection", "gamma_modes", 0, "matrix", 1, 0), "NaN"),
+    (("connection", "a_modes", 0, "value"), "NaN"),
+    (("tolerances", "cz-roundtrip"), "NaN"),
+])
+def test_non_finite_config_numbers_are_refused(tmp_path, capsys, keys,
+                                               literal):
+    cfg = cli.default_config()
+    entry = cfg
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = 0.123456789  # replaced by the literal in the text
+    text = json.dumps(cfg).replace("0.123456789", literal)
+    name = "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                              for k in keys)
+    with pytest.raises(cli.ConfigError, match=re.escape(name)):
+        cli.build_setup(json.loads(text))
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert f"{name} is " in capsys.readouterr().err
 
 
 def test_unknown_suite_argument_is_refused():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sympdirac import dirac as dr
 from sympdirac import fock as fk
 from sympdirac import geometry as ge
+from sympdirac import mpc
 from sympdirac import symplinalg as sl
 
 RNG_SEED = 20260814
@@ -639,10 +640,49 @@ def test_row_sparse_kernel_matches_dense_matmul(n, kind, K):
         assert _rel_gap(got, want) <= 1e-13
 
 
+@pytest.mark.parametrize("n, kind", [(1, "unitary"), (2, "unitary"),
+                                     (2, "general")])
+def test_context_never_forms_the_dense_fiber_action(monkeypatch, n, kind):
+    # the row-sparse kernel and p_hat come from the terms of
+    # mpc.lie_action_terms, not from the dense matrices of mpc.lie_action
+    cutoff = 4 if n == 1 else 1
+    ctx, rng = make_setup(n=n, cutoff=cutoff, max_degree=4, kind=kind)
+    mats = ge.lie_matrix_field(ctx.conn, ctx.basis)
+
+    def dense(*args):
+        raise AssertionError("mpc.lie_action called")
+
+    monkeypatch.setattr(mpc, "lie_action", dense)
+    fresh = dr.make_context(ctx.conn, ctx.basis)
+    vals = random_psi(fresh, rng, cutoff=1).values
+    for b in range(fresh.torus.dim):
+        want = ge.partial_derivative(fresh.torus, vals, b) \
+            + (mats[b] @ vals[..., None])[..., 0]
+        got = ge.cov_deriv_values(fresh.torus, fresh.action, vals, b)
+        assert _rel_gap(got, want) <= 1e-13
+    assert np.isfinite(fresh.p_hat[0]).all()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_unitary_fiber_action_terms_keep_degree(n):
+    # a unitary Gamma is projected to its j-linear part, so no term raises
+    # or lowers the degree; a general one brings the degree +/-2 terms
+    for kind, Q in (("unitary", 1 + n * n), ("general", 1 + 3 * n * n)):
+        ctx, _ = make_setup(n=n, cutoff=4 if n == 1 else 1, max_degree=4,
+                            kind=kind)
+        T = ctx.action.tensors
+        assert T.shape == (Q, ctx.basis.dim, ctx.basis.dim)
+        assert ctx.action.terms.shape == (
+            (ctx.torus.dim,) + ctx.torus.grid_shape + (Q,))
+        kept = [fk.degree_shift_mass(ctx.basis, t, 0) == 0 for t in T]
+        assert all(kept) == (kind == "unitary")
+
+
 def test_context_stores_the_fiber_action_row_sparse():
     # the benchmark's fields size: the dense (2n,) + grid + (F, F) matrices
-    # take 33 MiB, the row-sparse action (K = 3) 6.6 MiB, and make_context
-    # builds it one direction (8.2 MiB dense) at a time
+    # take 33 MiB, the row-sparse action (K = 3) 6.6 MiB beside 0.7 MiB of
+    # terms; make_context forms the slots from the terms in one gemm and
+    # never a dense direction (8.2 MiB)
     t = ge.torus_model(sl.standard_model(2, hbar=0.7), 2)
     basis = fk.fock_basis(2, 4)
     conn = ge.random_connection(t, np.random.default_rng(RNG_SEED), cutoff=1,
@@ -655,7 +695,7 @@ def test_context_stores_the_fiber_action_row_sparse():
         tracemalloc.stop()
     assert t.grid_shape == (7,) * 4 and ctx.basis.dim == 15
     assert stored <= 8 * 2 ** 20
-    assert peak < 33 * 2 ** 20
+    assert peak < 16 * 2 ** 20
 
 
 def test_operators_share_the_first_derivatives(monkeypatch):

@@ -165,6 +165,32 @@ def test_connection_from_modes_matches_manual():
         ge.connection_from_modes(t, [], [(0, [1, 0], "cos", 0.5)])
 
 
+def test_non_finite_connections_and_models_are_refused():
+    # NaN compares False with every tolerance, so each check must fail on it
+    nan = float("nan")
+    for hbar in (nan, float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sl.standard_model(1, hbar=hbar)
+    t = small_torus()
+    d = t.dim
+    zeros = np.zeros((d,) + t.grid_shape + (d, d))
+    Gamma = zeros.copy()
+    Gamma[0, ..., 0, 1] = nan
+    with pytest.raises(ValueError, match="symplectic form"):
+        ge.make_connection(t, Gamma, np.zeros((d,) + t.grid_shape))
+    for value in (nan, 1j * nan, complex(0.0, nan)):
+        a = np.zeros((d,) + t.grid_shape, dtype=complex)
+        a[1, 0, 0] = value
+        with pytest.raises(ValueError, match="purely imaginary"):
+            ge.make_connection(t, zeros, a)
+        with pytest.raises(ValueError, match="purely imaginary"):
+            ge.connection_from_modes(t, [], [(0, [1, 0], "cos", value)])
+    matrix = 0.3 * t.model.j
+    matrix[1, 0] = nan
+    with pytest.raises(ValueError, match="sp\\(2n, R\\)"):
+        ge.connection_from_modes(t, [(0, [1, 0], "cos", matrix)], [])
+
+
 def test_vector_cov_deriv_flat_is_partial():
     t = small_torus()
     rng = np.random.default_rng(RNG_SEED)

@@ -356,6 +356,25 @@ def test_lie_action_matches_einsum_reference():
             assert np.abs(got - ref).max() < 1e-14 * np.abs(ref).max()
 
 
+def test_lie_action_terms_split_the_action():
+    rng = np.random.default_rng(RNG_SEED + 13)
+    for m in models():
+        n, B = m.n, fk.fock_basis(m.n, 4)
+        mu = 1j * rng.normal(size=3)
+        general = np.stack([sl.random_sp_algebra(m, rng) for _ in range(3)])
+        for xi, Q in ((general, 1 + 3 * n * n),
+                      (sl.linear_part(m, general), 1 + n * n)):
+            X, T = mpc.lie_action_terms(m, B, mu, xi)
+            assert X.shape == (3, Q) and T.shape == (Q, B.dim, B.dim)
+            assert np.array_equal(X[:, 0], mu)
+            assert np.array_equal(T[0], np.eye(B.dim))
+            ref = _ref_lie_action(m, B, mu, xi)
+            got = np.einsum("sq,qab->sab", X, T)
+            assert np.abs(got - ref).max() < 1e-14 * np.abs(ref).max()
+        # a j-linear xi has no degree +/-2 term
+        assert all(fk.degree_shift_mass(B, t, 0) == 0 for t in T)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian Berezin kernels
 

@@ -76,7 +76,8 @@ class DiracContext:
         """
         act, torus = self.action, self.torus
         F = act.cols.shape[0]
-        weights, keep, x, y, target = _p_hat_pattern(self)
+        weights, keep, x, y, target = self._pattern
+        del vars(self)["_pattern"]  # the table is all a spectrum needs later
         # the coefficient fields as (2n, terms) x flat grid rows
         P = torus.grid_size ** torus.dim
         entries = weights[:, keep].T @ np.moveaxis(
@@ -101,6 +102,12 @@ class DiracContext:
         table = ge.mode_coefficients(
             torus, stacked.reshape(torus.grid_shape + (-1,)))
         return table.reshape(len(stacked), -1), where.reshape(3, F, F)
+
+    @cached_property
+    def _pattern(self) -> tuple:
+        """_p_hat_pattern of this context, made once for the estimate of
+        p_hat's bytes and its build, which lets it go."""
+        return _p_hat_pattern(self)
 
 
 def _p_hat_pattern(ctx: DiracContext) -> tuple:
@@ -138,7 +145,7 @@ def _p_hat_build_bytes(ctx: DiracContext) -> int:
     (E + 3X + 2C + 3F^2 entries) and 8 KiB of FFT scratch (3.7 KB measured
     at n = 1) come on top.
     """
-    weights, keep, x, _, target = _p_hat_pattern(ctx)
+    weights, keep, x, _, target = ctx._pattern
     W, E, X, C = len(weights), len(keep), len(x), len(np.unique(target))
     S = E + C + 1
     arrays = max(W + E, E + 2 * X, E + X + S, X + C + S, 3 * S)
@@ -188,31 +195,36 @@ def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:
 
 
 def _apply(S: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """The constant fiber matrix S at every point of grid + (F,) values."""
+    """The constant fiber matrix S, or each of a stack of them, at every
+    point of grid + (F,) values; a stack gives a stack of fields."""
     F = vals.shape[-1]
-    return (vals.reshape(-1, F) @ S.T).reshape(vals.shape)
+    return (vals.reshape(-1, F) @ np.swapaxes(S, -1, -2)).reshape(
+        S.shape[:-2] + vals.shape)
 
 
 def _derivs(ctx: DiracContext, vals: np.ndarray):
-    """nabla_0 vals, ..., nabla_{2n-1} vals, computed one at a time."""
-    for b in range(ctx.torus.dim):
-        yield ge.cov_deriv_values(ctx.torus, ctx.action, vals, b)
+    """nabla_0 vals, ..., nabla_{2n-1} vals, yielded one at a time from one
+    gather of each off-diagonal slot of the fiber action."""
+    return ge.cov_derivs(ctx.torus, ctx.action, vals, range(ctx.torus.dim))
 
 
 def _first_order(ctx: DiracContext, grads, *names: str) -> list:
     """sum_k contract[name][k] nabla_k psi for each name.
 
     grads holds or yields nabla_0 psi, ..., nabla_{2n-1} psi; each
-    derivative serves every name as it arrives, so a generator of them
-    never holds more than one.
+    derivative serves every name as it arrives and is let go before the
+    next one is made (enumerate's result tuple would keep it), so a
+    generator of them never holds more than one.
     """
-    outs = []
-    for k, grad in enumerate(grads):
+    outs, k = [], 0
+    for grad in grads:
         for i, name in enumerate(names):
             if k == 0:
                 outs.append(_apply(ctx.contract[name][k], grad))
             else:
                 outs[i] += _apply(ctx.contract[name][k], grad)
+        del grad
+        k += 1
     return outs
 
 
@@ -223,7 +235,11 @@ def _dirac_vals(ctx: DiracContext, vals: np.ndarray, name: str) -> np.ndarray:
 def _p_vals(ctx: DiracContext, grads) -> np.ndarray:
     """2[D', D''] psi from the first covariant derivatives of psi."""
     ds, dp = _first_order(ctx, grads, "Ds", "Dp")
-    return 2.0 * (_dirac_vals(ctx, ds, "Dp") - _dirac_vals(ctx, dp, "Ds"))
+    out = _dirac_vals(ctx, ds, "Dp")
+    del ds
+    out -= _dirac_vals(ctx, dp, "Ds")
+    out *= 2.0
+    return out
 
 
 def _wrap(ctx: DiracContext, vals: np.ndarray) -> SpinorField:
@@ -232,12 +248,11 @@ def _wrap(ctx: DiracContext, vals: np.ndarray) -> SpinorField:
 
 def _along(stack: np.ndarray, X) -> np.ndarray:
     """sum_b X^b stack[b] for a (2n,) + grid + (F,) stack and a vector (field)
-    X; on the stack of nabla_full this is nabla_X psi."""
-    X = np.asarray(X)
-    out = X[..., 0, None] * stack[0]
-    for b in range(1, len(stack)):
-        out += X[..., b, None] * stack[b]
-    return out
+    X, as one batched (1, 2n) @ (2n, F) product per grid point; on the stack
+    of nabla_full this is nabla_X psi."""
+    stack = np.asarray(stack)
+    X = np.asarray(X, dtype=stack.dtype)
+    return (X[..., None, :] @ np.moveaxis(stack, 0, -2))[..., 0, :]
 
 
 def nabla_dir(ctx: DiracContext, psi: SpinorField, X: np.ndarray) -> SpinorField:
@@ -317,8 +332,11 @@ def nabla_full(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
     """All covariant derivatives, shape (2n,) + grid + (F,)."""
     vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
     out = np.empty((ctx.torus.dim,) + vals.shape, dtype=complex)
-    for b, grad in enumerate(_derivs(ctx, vals)):
-        out[b] = grad
+    # next() rather than a for loop, whose variable would hold each
+    # direction while the next one is made
+    derivs = _derivs(ctx, vals)
+    for b in range(len(out)):
+        out[b] = next(derivs)
     return out
 
 
@@ -326,8 +344,7 @@ def aj_tau(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """Fiber derivation along the torsion vector, A(tau) psi."""
     vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
     # Ds = -A
-    return _wrap(ctx, _along([_apply(S, vals) for S in ctx.fiber["Ds"]],
-                             -ctx.tau))
+    return _wrap(ctx, _along(_apply(ctx.fiber["Ds"], vals), -ctx.tau))
 
 
 def adjoint_residual(ctx: DiracContext, psi1: SpinorField,
@@ -347,11 +364,12 @@ def nabla_star(ctx: DiracContext, beta: np.ndarray) -> SpinorField:
     coordinate frame.  Adjoint to nabla_full for unitary connections.
     """
     Gamma = ctx.conn.Gamma
-    out = _along(beta, ctx.jtau).astype(complex, copy=False)
+    out = _along(beta, ctx.jtau)
     for aa, bb in zip(*np.nonzero(ctx.ginv)):
         term = ge.cov_deriv_values(ctx.torus, ctx.action, beta[bb], aa)
         term -= _along(beta, Gamma[aa][..., :, bb])
-        out -= ctx.ginv[aa, bb] * term
+        term *= ctx.ginv[aa, bb]
+        out -= term
     return _wrap(ctx, out)
 
 
@@ -395,9 +413,9 @@ def _curvature_vals(ctx: DiracContext, grads: np.ndarray,
     # R and T are antisymmetric in (l, s), so one pass over l < s with
     # M[l, s] - M[s, l]; R(e_l, e_s) psi reuses the first derivatives
     for l, s in combinations(range(ctx.torus.dim), 2):
-        common = (ge.cov_deriv_values(ctx.torus, ctx.action, grads[s], l)
-                  - ge.cov_deriv_values(ctx.torus, ctx.action, grads[l], s)
-                  - _along(grads, T[l, s]))
+        common = ge.cov_deriv_values(ctx.torus, ctx.action, grads[s], l)
+        common -= ge.cov_deriv_values(ctx.torus, ctx.action, grads[l], s)
+        common -= _along(grads, T[l, s])
         out += _apply(M[l, s] - M[s, l], common)
     return out
 
@@ -428,11 +446,17 @@ def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
         raise ValueError("the curvature identity requires a unitary connection")
     hbar = ctx.model.hbar
     grads = nabla_full(ctx, psi)
-    comm = 0.5 * _p_vals(ctx, grads)
-    rhs = -(0.5 / hbar) * nabla_star(ctx, grads).values
-    rhs += (0.5 / hbar) * _along(grads, ctx.jtau)
+    comm = _p_vals(ctx, grads)
+    comm *= 0.5
+    rhs = nabla_star(ctx, grads).values
+    rhs *= -(0.5 / hbar)
+    jtau = _along(grads, ctx.jtau)
+    jtau *= 0.5 / hbar
+    rhs += jtau
+    del jtau
     rhs += _curvature_vals(ctx, grads, form)
-    num = l2_norm(ctx, _wrap(ctx, comm - rhs))
+    comm -= rhs
+    num = l2_norm(ctx, _wrap(ctx, comm))
     den = l2_norm(ctx, psi)
     return num / den if den > 0 else num
 

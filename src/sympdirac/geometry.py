@@ -23,6 +23,7 @@ action preserves polynomial degree.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -580,9 +581,12 @@ class FiberAction:
     the split of mpc.lie_action_terms less the terms that are zero at every
     point and direction.  Row r of every fiber matrix may be non-zero only
     in the columns cols[r, :counts[r]], the union of the tensors' != 0
-    patterns (ELL storage).  coef[b, k][..., r] is the direction-b entry at
-    (r, cols[r, k]) at every grid point; the padded slots k >= counts[r]
-    hold column 0 and coefficient 0.
+    patterns (ELL storage).  Slot 0 of every row is its diagonal, cols[:, 0]
+    = arange(F), with coefficient 0 where the pattern has no diagonal entry;
+    the off-diagonal columns follow in ascending order.  coef[b, k][..., r]
+    is the direction-b entry at (r, cols[r, k]) at every grid point; the
+    padded slots k >= counts[r] hold column 0 and coefficient 0.  An action
+    with no terms (a flat connection) has no slots at all, K = 0.
     """
 
     terms: np.ndarray    # (2n,) + grid + (Q,), complex
@@ -606,11 +610,15 @@ def fiber_action(conn: Connection, basis: fk.FockBasis) -> FiberAction:
                                 if conn.unitary else conn.Gamma)
     live = X.reshape(-1, X.shape[-1]).any(axis=0)
     X, T = X[..., live], T[live]
-    pattern = T.any(axis=0)
-    counts = pattern.sum(axis=1)
+    eye = np.eye(T.shape[-1], dtype=bool)
+    # every row stores its diagonal once any term is live
+    stored = (T.any(axis=0) & ~eye) | (eye & live.any())
+    counts = stored.sum(axis=1)
     padded = np.arange(counts.max(initial=0)) >= counts[:, None]
+    rows, c = np.nonzero(stored)
     cols = np.zeros(padded.shape, dtype=int)
-    cols[~padded] = np.nonzero(pattern)[1]  # row by row, as the slots
+    # row by row, as the slots: the diagonal first, then ascending
+    cols[~padded] = c[np.lexsort((c, c != rows, rows))]
     # slots[q, r, k]: entry (r, cols[r, k]) of tensor q, 0 where padded
     slots = np.where(padded, 0.0, T[:, np.arange(len(cols))[:, None], cols])
     Q, F, K = slots.shape
@@ -621,18 +629,55 @@ def fiber_action(conn: Connection, basis: fk.FockBasis) -> FiberAction:
                        coef=coef.reshape((d, K) + X.shape[1:-1] + (F,)))
 
 
-def cov_deriv_values(torus: TorusModel, action: FiberAction, vals: np.ndarray,
-                     b: int) -> np.ndarray:
-    """nabla_b on raw spinor values: d_b vals + A_b vals.
+def cov_derivs(torus: TorusModel, action: FiberAction, vals: np.ndarray,
+               dirs) -> Iterator[np.ndarray]:
+    """nabla_b vals = d_b vals + A_b vals for each b in dirs, one at a time.
 
     vals has shape grid + (F,); A_b is direction b of the row-sparse fiber
-    action, applied as sum_k coef[b, k] * vals[..., cols[:, k]].  Every
-    spinor covariant derivative of the package goes through here.
+    action, applied as coef[b, 0] * vals on the diagonal slot plus
+    sum_{k >= 1} coef[b, k] * vals[..., cols[:, k]].  Several directions
+    share one gather of each of the K - 1 off-diagonal slots, held until the
+    last direction is made; one direction gathers a slot at a time.
+    Between two directions the generator holds nothing else.
+    """
+    vals = np.asarray(vals, dtype=complex)
+    cols = action.cols[:, 1:].T
+    held = [np.take(vals, c, axis=-1) for c in cols] if len(dirs) > 1 else None
+    return (_cov_deriv(torus, action.coef[b], vals, b, cols, held)
+            for b in dirs)
+
+
+def _cov_deriv(torus: TorusModel, coef: np.ndarray, vals: np.ndarray, b: int,
+               cols: np.ndarray, held: list | None) -> np.ndarray:
+    """nabla_b vals for cov_derivs, from direction b's slot coefficients.
+
+    One scratch field takes every product, and the off-diagonal slots come
+    from held, or are gathered into the scratch field when held is None.
     """
     out = partial_derivative(torus, vals, b)
-    for k in range(action.cols.shape[1]):
-        out += action.coef[b, k] * np.take(vals, action.cols[:, k], axis=-1)
+    scratch = np.empty_like(vals)
+    for k, c in enumerate(coef):
+        if k == 0:
+            term = vals
+        elif held is None:
+            # with the default mode="raise", np.take would gather into a
+            # buffer of its own and copy that to out
+            term = np.take(vals, cols[k - 1], axis=-1, out=scratch,
+                           mode="wrap")
+        else:
+            term = held[k - 1]
+        out += np.multiply(c, term, out=scratch)
     return out
+
+
+def cov_deriv_values(torus: TorusModel, action: FiberAction, vals: np.ndarray,
+                     b: int) -> np.ndarray:
+    """nabla_b on raw spinor values: cov_derivs on the one direction b.
+
+    Every spinor covariant derivative of the package goes through
+    cov_derivs, whose several directions equal single ones bit for bit.
+    """
+    return next(cov_derivs(torus, action, vals, (b,)))
 
 
 def spinor_cov_deriv(conn: Connection, psi: SpinorField, b: int) -> SpinorField:

@@ -640,6 +640,125 @@ def test_row_sparse_kernel_matches_dense_matmul(n, kind, K):
         assert _rel_gap(got, want) <= 1e-13
 
 
+def test_slot_zero_of_every_row_is_its_diagonal():
+    # the kernel applies slot 0 as coef[b, 0] * vals, with no gather
+    for n, kind in ((1, "unitary"), (2, "unitary"), (2, "general")):
+        ctx, _ = make_setup(n=n, cutoff=4 if n == 1 else 1, max_degree=4,
+                            kind=kind)
+        cols, counts = ctx.action.cols, ctx.action.counts
+        rows = np.arange(ctx.basis.dim)
+        assert np.array_equal(cols[:, 0], rows)
+        # the stored off-diagonal slots never repeat the diagonal
+        stored = np.arange(1, cols.shape[1]) < counts[:, None]
+        assert (cols[:, 1:] != rows[:, None])[stored].all()
+
+
+def _diagonal_free_connection(n, unitary):
+    # a = 0 drops the identity term; the number operators of a diagonal H
+    # vanish on the vacuum, and an off-diagonal H (n = 2) has no diagonal
+    # entry at all, nor have the degree +/-2 terms of a general Gamma
+    t = ge.torus_model(sl.standard_model(n, hbar=0.7), 4 if n == 1 else 1)
+    m = t.model
+    H = np.array([[0.4j]]) if n == 1 else np.array([[0, 0.3 + 0.2j],
+                                                    [-0.3 + 0.2j, 0]])
+    modes = [(0, [1] + [0] * (2 * n - 1), "cos", sl.real_matrix(m, H)),
+             (1, [0] * (2 * n - 1) + [1], "sin", sl.real_matrix(m, H))]
+    if not unitary:
+        W = np.array([[0.2 + 0.1j]]) if n == 1 else np.array(
+            [[0.2, 0.1j], [0.1j, -0.3]])
+        modes.append((0, [0] * (2 * n - 1) + [1], "cos",
+                      sl.antilinear_real(m, W)))
+    return ge.connection_from_modes(t, modes, [])
+
+
+@pytest.mark.parametrize("n, unitary", [(1, True), (2, True), (2, False)])
+def test_rows_without_a_diagonal_get_a_zero_slot_zero(n, unitary):
+    conn = _diagonal_free_connection(n, unitary)
+    assert conn.unitary == unitary and not conn.a.any()
+    ctx = dr.make_context(conn, fk.fock_basis(n, 4))
+    action, F = ctx.action, ctx.basis.dim
+    assert np.array_equal(action.cols[:, 0], np.arange(F))
+    diagonal = action.tensors[:, np.arange(F), np.arange(F)].any(axis=0)
+    assert not diagonal.all() and (diagonal.any() == (n == 1))
+    assert not action.coef[:, 0][..., ~diagonal].any()
+    mats = ge.lie_matrix_field(ctx.conn, ctx.basis)
+    vals = random_psi(ctx, np.random.default_rng(RNG_SEED), cutoff=1).values
+    for b in range(ctx.torus.dim):
+        want = ge.partial_derivative(ctx.torus, vals, b) \
+            + (mats[b] @ vals[..., None])[..., 0]
+        got = ge.cov_deriv_values(ctx.torus, action, vals, b)
+        assert _rel_gap(got, want) <= 1e-13
+
+
+@pytest.mark.parametrize("n, kind", [(1, "flat"), (1, "unitary"),
+                                     (2, "unitary"), (2, "general")])
+def test_several_directions_equal_single_ones_bit_for_bit(n, kind):
+    ctx, rng = make_setup(n=n, cutoff=4 if n == 1 else 1, max_degree=4,
+                          kind=kind)
+    vals = random_psi(ctx, rng, cutoff=1).values
+    dims = ctx.torus.dim
+    for dirs in (range(dims), (dims - 1, 0), (1,)):
+        got = list(ge.cov_derivs(ctx.torus, ctx.action, vals, dirs))
+        assert len(got) == len(dirs)
+        for b, grad in zip(dirs, got):
+            assert np.array_equal(
+                grad, ge.cov_deriv_values(ctx.torus, ctx.action, vals, b))
+
+
+def test_each_field_gathers_its_off_diagonal_slots_once(monkeypatch):
+    # K = 3 at n = 2, N = 4 (unitary): slot 0 is the diagonal, and each of
+    # the other two slots is gathered once per field for all four
+    # directions; one direction alone gathers each slot once too
+    ctx, rng = make_setup(n=2, cutoff=2, max_degree=4)
+    assert ctx.action.cols.shape[1] == 3
+    psi = random_psi(ctx, rng, cutoff=1, max_degree=2)
+    calls = []
+    take = np.take
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counting)
+    grads = dr.nabla_full(ctx, psi)
+    assert len(calls) == 2
+    calls.clear()
+    list(dr._derivs(ctx, psi.values))
+    assert len(calls) == 2
+    calls.clear()
+    # P: nabla psi, then D' of D'' psi and D'' of D' psi, three fields
+    dr.P_op(ctx, psi)
+    assert len(calls) == 6
+    calls.clear()
+    ge.cov_deriv_values(ctx.torus, ctx.action, grads[0], 1)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("op, bound", [("weitzenbock", 7.5), ("laplacian", 4.6)])
+def test_fields_operators_peak_memory(op, bound):
+    # the benchmark's fields workload (n = 2, M = 2, N = 4) at seed 11 and
+    # input 1: the held gathers of the off-diagonal slots may not raise the
+    # traced peaks, 7.40 MiB (Weitzenboeck) and 4.52 MiB (Laplacian) with
+    # one gather per direction and slot
+    t = ge.torus_model(sl.standard_model(2, hbar=0.7), 2)
+    basis = fk.fock_basis(2, 4)
+    conn = ge.random_connection(t, np.random.default_rng([11, 2 ** 31]),
+                                cutoff=1, unitary=True)
+    ctx = dr.make_context(conn, basis)
+    psi = ge.random_spinor_field(t, basis, np.random.default_rng([11, 1]),
+                                 cutoff=1, max_degree=2)
+    run = {"weitzenbock": lambda: dr.weitzenbock_residual(ctx, psi),
+           "laplacian": lambda: dr.laplacian(ctx, psi)}[op]
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 2 ** 20
+
+
 @pytest.mark.parametrize("n, kind", [(1, "unitary"), (2, "unitary"),
                                      (2, "general")])
 def test_context_never_forms_the_dense_fiber_action(monkeypatch, n, kind):
@@ -861,6 +980,23 @@ def test_spectrum_memory_guard_counts_the_first_table_build(monkeypatch):
         dr.spectrum(fresh, 1)
     assert "p_hat" not in vars(fresh)
     assert np.isfinite(dr.spectrum(built, 1)).all()
+
+
+def test_first_spectrum_finds_the_table_pattern_once(monkeypatch):
+    # the memory estimate of the first spectrum and the build of p_hat
+    # share one _p_hat_pattern of the context
+    ctx, _ = make_setup(n=2, cutoff=1, max_degree=3)
+    calls = []
+    pattern = dr._p_hat_pattern
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return pattern(*args, **kwargs)
+
+    monkeypatch.setattr(dr, "_p_hat_pattern", counting)
+    dr.spectrum(ctx, 0)
+    dr.spectrum(ctx, 1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n, cutoff, max_degree", [(1, 4, 5), (2, 2, 4)])

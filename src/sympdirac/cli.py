@@ -201,9 +201,10 @@ def build_setup(config: dict) -> checks.RunSetup:
     cmodes = config.get("connection", {})
     for entry in cmodes.get("gamma_modes", []):
         mode = _mode_indices(entry, d, torus)
-        mat = np.array(entry["matrix"], dtype=float)
-        if mat.shape != (d, d):
+        rows = entry["matrix"]
+        if len(rows) != d or any(len(row) != d for row in rows):
             raise ConfigError(f"gamma matrix must be {d}x{d}")
+        mat = np.array(rows, dtype=float)
         gamma_modes.append(mode + (entry.get("kind", "cos"), mat))
     for entry in cmodes.get("a_modes", []):
         a_modes.append(_mode_indices(entry, d, torus)

@@ -324,8 +324,9 @@ def uj_kernel_fn(model: SymplecticModel, h: fk.HeisenbergElement):
     w goes through the action once (`_uj_route`), with its own batch shape;
     the result is then evaluated at z on the broadcast product of the batch
     axes of z and w.  `conjugation_check` takes the same routed coeffs and
-    centers on its quadrature nodes and factors the exponential over the
-    tensor grid instead of evaluating this callable there.
+    centers on its quadrature nodes; there the centers node + v form a
+    tensor grid, so it builds the exponential from one Q x Q table per
+    axis of that grid instead of evaluating this callable there.
     """
 
     def fn(z, w):
@@ -473,13 +474,16 @@ def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergEle
     kernels K_U(z, u) and K_{U^{-1}}(u, w) factor over the grid axes by
     `_grid_exponent`, and each sample's Q x Q left and right factors are
     built from those inside the sample loop.  Each node w_j goes through U_j
-    once, giving coeffs_j and conj(c_j); at a tensor node z = (x_a, y_b) the
-    middle kernel coeffs_j exp((x_a + i y_b) conj(c_j)/2hbar) factors as
-    coeffs_j Ex[a, j] Ey[b, j], and since the nodes are antisymmetric, half
-    the rows of Ex and Ey are reciprocals of the other half.  The double sum
-    over the grid is then, for one sample pair at a time, a (Q, Q) @ (Q, Q^2)
-    product followed by a contraction over b: the largest temporary is one
-    Q x Q^2 array besides the tables Ex and Ey.
+    once, giving coeffs_j and conj(c_j).  The routed centers are node + v, a
+    tensor grid, so conj(c) at the node (a', b') is px[a'] - i py[b'], and a
+    ValueError is raised if they are not.  At a tensor node z = (x_a, y_b)
+    the middle kernel coeffs_j exp((x_a + i y_b) conj(c_j)/2hbar) is then
+    coeffs_j Ex[a, j] EyT[j, b], and each of the Q x Q^2 tables Ex and EyT
+    is the product of two Q x Q exponential tables, one per axis of the
+    routed grid: 4 Q^2 exponentials in all.  The double sum over the grid
+    is, for one sample pair at a time, sum(left * ((Ex * right) @ EyT)):
+    one (Q, Q^2) @ (Q^2, Q) product.  The largest temporaries are three
+    Q x Q^2 arrays: Ex, EyT and the scaled copy of Ex.
     """
     if model.n != 1:
         raise ValueError("implemented for n = 1 only")
@@ -493,6 +497,10 @@ def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergEle
     # node (a, b) sits at (r_a, r_b), row a * Q + b
     nodes = np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
     coeffs, cc = _uj_route(model, h, nodes)
+    cc = cc.reshape(Q, Q)
+    px, py = cc.real[:, 0], -cc.imag[0]
+    if (cc.real != px[:, None]).any() or (-cc.imag != py).any():
+        raise ValueError("the routed centers node + v do not form a tensor grid")
     target = uj_kernel_fn(model, fk.heisenberg_element(g @ np.array(h.v), h.t))
     z = rng.uniform(-1, 1, size=(10, 2))
     w = rng.uniform(-1, 1, size=(10, 2))
@@ -502,14 +510,17 @@ def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergEle
     Xl = _exp_rows(r, kl * r)
     Xr = _exp_rows(r, kr * r)
     Xr *= coeffs.reshape(Q, Q)
-    Ex = _exp_rows(r, cc[:, 0] / (2.0 * model.hbar))
-    Ey = _exp_rows(r, 1j * cc[:, 0] / (2.0 * model.hbar))
+    s = 0.5 / model.hbar
+    Ex = (np.exp(s * np.multiply.outer(r, px))[:, :, None]
+          * np.exp(-1j * s * np.multiply.outer(r, py))[:, None, :]).reshape(Q, Q * Q)
+    EyT = (np.exp(1j * s * np.multiply.outer(px, r))[:, None, :]
+           * np.exp(s * np.multiply.outer(py, r))[None, :, :]).reshape(Q * Q, Q)
     lhs = np.empty(len(z), dtype=complex)
-    inner = np.empty_like(Ex)
+    scaled = np.empty_like(Ex)
     for k in range(len(z)):
         left = Xl * np.multiply.outer(lx[k], ly[k])
         right = Xr * np.multiply.outer(rx[k], ry[k])
-        np.matmul(left.T, Ex, out=inner)
-        lhs[k] = np.sum(np.einsum("bj,bj->j", inner, Ey) * right.ravel())
+        np.multiply(Ex, right.ravel(), out=scaled)
+        lhs[k] = np.sum(left * (scaled @ EyT))
     lhs *= ku.lam * kinv.lam / np.pi**2 * np.exp(cl + cr)
     return float(np.abs(lhs - target(z, w)).max())

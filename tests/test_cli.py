@@ -343,6 +343,19 @@ def test_mode_entries_of_the_wrong_size_are_refused(tmp_path, capsys, modes,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("matrix", [[[0.0, 1.0], [0.0]], [[0.0], [1.0, 0.0]]])
+@pytest.mark.parametrize("command", [["verify"], ["spectrum", "--degrees", "0"]])
+def test_ragged_gamma_matrix_is_refused(tmp_path, capsys, matrix, command):
+    # the schema admits rows of any length; exit code 1 would read as a
+    # failed check, so a ragged matrix must be a config error (code 2)
+    cfg = cli.default_config()
+    cfg["connection"]["gamma_modes"][0]["matrix"] = matrix
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(command + ["--config", str(path)]) == 2
+    assert "gamma matrix must be 2x2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("keys, literal", [
     (("model", "hbar"), "NaN"),
     (("model", "hbar"), "1e400"),  # json.load reads it as inf

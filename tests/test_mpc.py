@@ -481,6 +481,24 @@ def test_uj_kernel_routes_each_w_once_and_broadcasts(monkeypatch):
             assert got[idx] == pytest.approx(closed(zb[idx], wb[idx]), rel=1e-12)
 
 
+def unfactored_conjugation(m, u, h, order, seed):
+    """Left and right sides of conjugation_check's identity at its 10 sample
+    pairs, drawn from default_rng(seed), with the (order^2, order^2) middle
+    kernel formed node by node and both weights multiplied in."""
+    ku = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, u))
+    kinv = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, mpc.mpc_inverse(m, u)))
+    kuj = mpc.uj_kernel_fn(m, h)
+    target = mpc.uj_kernel_fn(m, fk.heisenberg_element(mpc.sigma(m, u) @ np.array(h.v), h.t))
+    nodes, weights = tensor_rule(order, np.sqrt(2.0 * m.hbar))
+    M = kuj(nodes[:, None, :], nodes[None, :, :]) * weights[:, None] * weights[None, :]
+    sample = np.random.default_rng(seed)
+    z = sample.uniform(-1, 1, size=(10, 2))
+    w = sample.uniform(-1, 1, size=(10, 2))
+    lhs = np.einsum("si,ij,sj->s", ku(z[:, None, :], nodes), M,
+                    kinv(nodes, w[:, None, :]))
+    return lhs, target(z, w)
+
+
 @pytest.mark.parametrize("quad_order", [8, 11, 12])
 def test_conjugation_check_matches_unfactored_quadrature(quad_order):
     m = sl.standard_model(1, hbar=0.7)
@@ -490,21 +508,8 @@ def test_conjugation_check_matches_unfactored_quadrature(quad_order):
     seed = int(rng.integers(2**31))
     got = mpc.conjugation_check(m, u, h, quad_order=quad_order,
                                 rng=np.random.default_rng(seed))
-
-    # reference: full-broadcast middle kernel with both weights multiplied in
-    ku = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, u))
-    kinv = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, mpc.mpc_inverse(m, u)))
-    kuj = mpc.uj_kernel_fn(m, h)
-    target = mpc.uj_kernel_fn(m, fk.heisenberg_element(mpc.sigma(m, u) @ np.array(h.v), h.t))
-    nodes, weights = tensor_rule(quad_order, np.sqrt(2.0 * m.hbar))
-    zb, wb = np.broadcast_arrays(nodes[:, None, :], nodes[None, :, :])
-    M = kuj(zb, wb) * weights[:, None] * weights[None, :]
-    sample = np.random.default_rng(seed)
-    z = sample.uniform(-1, 1, size=(10, 2))
-    w = sample.uniform(-1, 1, size=(10, 2))
-    lhs = np.einsum("si,ij,sj->s", ku(z[:, None, :], nodes), M,
-                    kinv(nodes, w[:, None, :]))
-    expect = float(np.abs(lhs - target(z, w)).max())
+    lhs, want = unfactored_conjugation(m, u, h, quad_order, seed)
+    expect = float(np.abs(lhs - want).max())
     assert expect > 1e-6  # a truncated rule: this pins the quadrature sum itself
     assert got == pytest.approx(expect, abs=1e-12)
 
@@ -517,24 +522,72 @@ def test_conjugation_check_matches_unfactored_quadrature_at_order_40(hbar):
     h = fk.heisenberg_element(rng.uniform(-1, 1, size=2), 0.3)
     seed = int(rng.integers(2**31))
     got = mpc.conjugation_check(m, u, h, rng=np.random.default_rng(seed))
-
-    # reference: the 1600 x 1600 middle kernel on the full tensor grid
-    ku = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, u))
-    kinv = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, mpc.mpc_inverse(m, u)))
-    kuj = mpc.uj_kernel_fn(m, h)
-    target = mpc.uj_kernel_fn(m, fk.heisenberg_element(mpc.sigma(m, u) @ np.array(h.v), h.t))
-    nodes, weights = tensor_rule(40, np.sqrt(2.0 * m.hbar))
-    zb, wb = np.broadcast_arrays(nodes[:, None, :], nodes[None, :, :])
-    M = kuj(zb, wb) * weights[:, None] * weights[None, :]
-    sample = np.random.default_rng(seed)
-    z = sample.uniform(-1, 1, size=(10, 2))
-    w = sample.uniform(-1, 1, size=(10, 2))
-    lhs = np.einsum("si,ij,sj->s", ku(z[:, None, :], nodes), M,
-                    kinv(nodes, w[:, None, :]))
-    want = target(z, w)
+    lhs, want = unfactored_conjugation(m, u, h, 40, seed)
     expect = float(np.abs(lhs - want).max())
     assert np.isfinite(got)
     assert abs(got - expect) <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("order", [40, 41])
+@pytest.mark.parametrize("hbar", [0.3, 1.0, 3.0])
+def test_conjugation_check_matches_unfactored_quadrature_far_from_the_origin(
+        order, hbar):
+    # |v| = 2 moves the routed grid well off the nodes, and order 41 puts
+    # an exact 0 on both axes of the rule and of the routed centers
+    m = sl.standard_model(1, hbar=hbar)
+    rng = np.random.default_rng(RNG_SEED + 27)
+    u = mpc.random_mpc(m, rng, scale=0.4)
+    angle = rng.uniform(0, 2 * np.pi)
+    h = fk.heisenberg_element(2.0 * np.array([np.cos(angle), np.sin(angle)]), -0.2)
+    seed = int(rng.integers(2**31))
+    got = mpc.conjugation_check(m, u, h, quad_order=order,
+                                rng=np.random.default_rng(seed))
+    lhs, want = unfactored_conjugation(m, u, h, order, seed)
+    expect = float(np.abs(lhs - want).max())
+    assert np.isfinite(got)
+    assert abs(got - expect) <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("order", [40, 41])
+def test_conjugation_check_exponentiates_at_most_8q2_entries(monkeypatch, order):
+    # the Heisenberg tables come from per-axis Q x Q factors; one Q x Q^2
+    # table of exponentials alone would be 5 Q^3 / 8 entries over the bound
+    counted = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(x, *args, **kwargs):
+            counted.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+
+    m = sl.standard_model(1, hbar=0.7)
+    rng = np.random.default_rng(RNG_SEED + 28)
+    u = mpc.random_mpc(m, rng, scale=0.4)
+    h = fk.heisenberg_element(rng.uniform(-1, 1, size=2), 0.3)
+    want = mpc.conjugation_check(m, u, h, quad_order=order)
+    monkeypatch.setattr(mpc, "np", CountingNumpy())
+    assert mpc.conjugation_check(m, u, h, quad_order=order) == want
+    assert 0 < sum(counted) <= 8 * order**2
+
+
+@pytest.mark.parametrize("shift", [1e-3, 1e-3j])
+def test_conjugation_check_refuses_centers_off_a_tensor_grid(monkeypatch, shift):
+    route = mpc._uj_route
+
+    def skewed(model, h, w):
+        coeffs, cc = route(model, h, w)
+        cc = cc.copy()
+        cc[7] += shift
+        return coeffs, cc
+
+    m = sl.standard_model(1, hbar=0.7)
+    h = fk.heisenberg_element(np.array([0.3, -0.5]), 0.1)
+    monkeypatch.setattr(mpc, "_uj_route", skewed)
+    with pytest.raises(ValueError, match="tensor grid"):
+        mpc.conjugation_check(m, mpc.identity_mpc(m), h)
 
 
 def test_conjugation_check_memory_peak():
@@ -543,11 +596,12 @@ def test_conjugation_check_memory_peak():
     u = mpc.random_mpc(m, rng, scale=0.4)
     h = fk.heisenberg_element(rng.uniform(-1, 1, size=2), 0.3)
     for Q in (40, 60):
-        # complex words: the tables Ex and Ey and the per-sample Q x Q^2
-        # product, then Q^2 each for the node array, the routed coeffs and
-        # centers, the factor tables Xl and Xr, each sample's left and right
-        # and its contraction; the 10 x Q^2 side factors are never formed,
-        # and the Q^2 x Q^2 middle kernel alone would take 41 MB at Q = 40
+        # complex words: the tables Ex and EyT and each sample's scaled copy
+        # of Ex, all Q x Q^2, then Q^2 each for the node array, the routed
+        # coeffs and centers, the per-axis factors of Ex and EyT, the factor
+        # tables Xl and Xr, and each sample's left, right and (Q, Q)
+        # product; the 10 x Q^2 side factors are never formed, and the
+        # Q^2 x Q^2 middle kernel alone would take 41 MB at Q = 40
         bound = 16 * (3 * Q**3 + 16 * Q**2)
         mpc.conjugation_check(m, u, h, quad_order=Q)  # warm
         tracemalloc.start()

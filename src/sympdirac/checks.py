@@ -217,7 +217,8 @@ def _check_covariance(setup, rng):
         u = mpc.random_mpc(m, rng, scale=0.4)
         h = fk.heisenberg_element(rng.uniform(-1, 1, size=2),
                                   float(rng.normal()) * 0.3)
-        yield mpc.conjugation_check(m, u, h, rng=rng)
+        yield mpc.conjugation_check(m, u, h, quad_order=setup.quad_order,
+                                    rng=rng)
 
 
 def _lie_fd_residuals(setup, rng):

@@ -8,7 +8,9 @@ Three subcommands:
 
 Reports are reproducible for a fixed config; the runtime_ms fields are the
 only part of a report that varies between runs.  Exit codes: 0 all checks
-pass, 1 at least one failure, 2 unusable config.
+pass, 1 at least one failure, 2 unusable config or arguments, or an --out
+path that cannot be written (reported after the run, as "error: cannot
+write ...").
 """
 
 from __future__ import annotations
@@ -121,7 +123,8 @@ CONFIG_SCHEMA = {
 
 
 class ConfigError(Exception):
-    """Config cannot be used: schema violation, bad matrices, band budget."""
+    """The run cannot go as asked: schema violation, bad matrices, band
+    budget, a bad argument, or an output path that cannot be written."""
 
 
 def default_config() -> dict:
@@ -302,14 +305,25 @@ def _json_safe(obj):
     return obj
 
 
+def _write_output(text: str, path: str | None) -> None:
+    """text to the file at path as it stands, line ends included, or to
+    stdout when path is None; a path that cannot be written raises
+    ConfigError."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") \
+            from exc
+
+
 def _write_report(report: dict, path: str | None) -> None:
     text = json.dumps(_json_safe(report), indent=2, sort_keys=True,
                       allow_nan=False)
-    if path:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write_output(text + "\n", path)
 
 
 def _write_csv(rows, path: str | None) -> None:
@@ -317,11 +331,7 @@ def _write_csv(rows, path: str | None) -> None:
     writer = csv.writer(buf)
     writer.writerow(["degree", "index", "re", "im"])
     writer.writerows(rows)
-    if path:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write_output(buf.getvalue(), path)
 
 
 def _load_config(path: str | None) -> dict:

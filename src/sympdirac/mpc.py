@@ -271,70 +271,67 @@ def lie_group_kernel_residual(model: SymplecticModel, x: MpcLieElement,
 
 @dataclass(frozen=True, eq=False)
 class GaussianKernel:
-    """Kernel lam exp((1/4hbar)(2 <A z, w> - <z, B z> - <Cq w, w>)) in
-    coordinate form: A is the complex matrix of C_g^{-1}, B and Cq are the
-    coordinate matrices of the antilinear maps Z_{g^{-1}} and Z_g."""
+    """Kernel lam exp((1/4hbar)(2 <A z, w> - <z, B z> - <Cq w, w>
+    + 2 lz.z + 2 lw.conj(w))) in coordinate form, with z and w in complex
+    coordinates.  For an Mp^c element (`mpc_kernel`) A is the complex matrix
+    of C_g^{-1}, B and Cq are the coordinate matrices of the antilinear maps
+    Z_{g^{-1}} and Z_g, and the linear terms lz and lw (complex n-vectors)
+    are zero; a Heisenberg operator (`heisenberg_kernel`) has them non-zero."""
 
     lam: complex
     A: np.ndarray
     B: np.ndarray
     Cq: np.ndarray
+    lz: np.ndarray
+    lw: np.ndarray
 
 
 def mpc_kernel(model: SymplecticModel, u: MpcElement) -> GaussianKernel:
     K = sl.complex_matrix(model, u.pair.C)
+    zero = np.zeros(model.n, dtype=complex)
     return GaussianKernel(
         lam=complex(u.lam),
         A=np.linalg.inv(K),
         B=sl.antilinear_matrix(model, sl.inverse_z(u.pair), check=False),
         Cq=sl.antilinear_matrix(model, u.pair.Z, check=False),
+        lz=zero,
+        lw=zero,
+    )
+
+
+def heisenberg_kernel(model: SymplecticModel,
+                      h: fk.HeisenbergElement) -> GaussianKernel:
+    """Berezin kernel of the Heisenberg operator U_j(v, t).
+
+    K(z, w) = (U_j(v, t) e_w)(z), and `fock.uj_apply` gives
+    U_j e_w = exp(-it/hbar - |v|^2/4hbar - <v, w>/2hbar) e_{v + w} with
+    e_c(z) = exp(<z, c>/2hbar): A = I, B = Cq = 0, lz = conj(v), lw = -v and
+    lam = exp(-it/hbar - |v|^2/4hbar), v in complex coordinates.
+    """
+    vc = sl.vec_to_complex(model, np.array(h.v))
+    zero = np.zeros((model.n, model.n))
+    return GaussianKernel(
+        lam=complex(np.exp(-1j * h.t / model.hbar
+                           - np.vdot(vc, vc).real / (4.0 * model.hbar))),
+        A=np.eye(model.n),
+        B=zero,
+        Cq=zero,
+        lz=vc.conj(),
+        lw=-vc,
     )
 
 
 def kernel_eval(model: SymplecticModel, K: GaussianKernel, z: np.ndarray,
                 w: np.ndarray) -> np.ndarray:
-    """Evaluate at real points; z and w may carry (broadcastable) batch axes."""
+    """Evaluate at real points, linear terms included; z and w may carry
+    (broadcastable) batch axes."""
     zc = sl.vec_to_complex(model, np.asarray(z, dtype=float))
     wc = sl.vec_to_complex(model, np.asarray(w, dtype=float)).conj()
     quad = 2.0 * np.einsum("...k,kl,...l->...", wc, K.A, zc)
     quad -= np.einsum("...k,kl,...l->...", zc, K.B.conj(), zc)
     quad -= np.einsum("...k,kl,...l->...", wc, K.Cq, wc)
+    quad += 2.0 * (zc @ K.lz + wc @ K.lw)
     return K.lam * np.exp(quad / (4.0 * model.hbar))
-
-
-def _uj_route(model: SymplecticModel, h: fk.HeisenbergElement, w):
-    """Route the points w through U_j(v, t) once: U_j e_w = coeffs e_c.
-
-    Returns coeffs of shape w.shape[:-1] and the conjugate complex centers
-    conj(c) of shape w.shape[:-1] + (n,), so (U_j e_w)(z) is
-    coeffs exp(<z, c>/2hbar) with <z, c> = sum_k z_k conj(c)_k.
-    """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    flat_w = w.reshape(-1, w.shape[-1])
-    combo = fk.uj_apply(model, h, fk.coherent_combo(np.ones(len(flat_w)), flat_w))
-    coeffs = combo.coeffs.reshape(w.shape[:-1])
-    return coeffs, sl.vec_to_complex(model, combo.centers.reshape(w.shape)).conj()
-
-
-def uj_kernel_fn(model: SymplecticModel, h: fk.HeisenbergElement):
-    """Berezin kernel of the Heisenberg operator U_j(v, t), as a callable.
-
-    Built by routing each evaluation point through the coherent-state action:
-    K(z, w) = (U_j(v, t) e_w)(z) = coeffs(w) exp(<z, c(w)>/2hbar).  Each given
-    w goes through the action once (`_uj_route`), with its own batch shape;
-    the result is then evaluated at z on the broadcast product of the batch
-    axes of z and w.  `conjugation_check` takes the same routed coeffs and
-    centers on its quadrature nodes; there the centers node + v form a
-    tensor grid, so it builds the exponential from one Q x Q table per
-    axis of that grid instead of evaluating this callable there.
-    """
-
-    def fn(z, w):
-        zc = sl.vec_to_complex(model, np.asarray(z, dtype=float))
-        coeffs, cc = _uj_route(model, h, w)
-        return coeffs * np.exp(np.einsum("...k,...k->...", zc, cc) / (2.0 * model.hbar))
-
-    return fn
 
 
 @cache
@@ -363,19 +360,23 @@ def _grid_exponent(model: SymplecticModel, K: GaussianKernel, p: np.ndarray,
     The node u = (r_a, r_b) of `_scaled_rule` takes the given slot (0:
     K(u, p), 1: K(p, u)) and the points p, shape (P, 2), take the other.
     The exponent is c + lin v - q v^2 with v = u in slot 0 and v = conj(u)
-    in slot 1, so with v = r_a + i sigma r_b it splits as
-    c[k] + fx[k, a] + fy[k, b] + kappa r_a r_b; only the last term mixes
-    the axes, and it does not depend on p.  Returns c, shape (P,), fx and
-    fy, shape (P, Q), and the scalar kappa.
+    in slot 1; the linear term of the node's slot (lz in slot 0, lw in
+    slot 1) goes into lin and that of p's slot into c.  With
+    v = r_a + i sigma r_b it splits as c[k] + fx[k, a] + fy[k, b]
+    + kappa r_a r_b; only the last term mixes the axes, and it does not
+    depend on p.  Returns c, shape (P,), fx and fy, shape (P, Q), and the
+    scalar kappa.
     """
     r = _scaled_rule(model, order)[0]
     pc = sl.vec_to_complex(model, p)[:, 0]
     A, conj_B, Cq = K.A[0, 0], np.conj(K.B[0, 0]), K.Cq[0, 0]
     if slot == 0:  # p sits in the conjugated slot
         pc = pc.conj()
-        lin, q, c, i_sigma = 2.0 * A * pc, conj_B, -Cq * pc**2, 1j
+        q, c, l_node, l_p, i_sigma = conj_B, -Cq * pc**2, K.lz[0], K.lw[0], 1j
     else:
-        lin, q, c, i_sigma = 2.0 * A * pc, Cq, -conj_B * pc**2, -1j
+        q, c, l_node, l_p, i_sigma = Cq, -conj_B * pc**2, K.lw[0], K.lz[0], -1j
+    lin = 2.0 * (A * pc + l_node)
+    c = c + 2.0 * l_p * pc
     four_hbar = 4.0 * model.hbar
     lin = lin[:, None] / four_hbar
     q = q / four_hbar
@@ -450,8 +451,9 @@ def gaussian_integral_check(model: SymplecticModel, W1: complex, W2: complex,
     if model.n != 1:
         raise ValueError("implemented for n = 1 only")
     W1, W2 = complex(W1), complex(W2)
+    zero = np.zeros(1)
     G = GaussianKernel(lam=1.0, A=np.zeros((1, 1)), B=np.array([[W1]]),
-                       Cq=np.array([[W2]]))
+                       Cq=np.array([[W2]]), lz=zero, lw=zero)
     lhs = complex(kernel_compose_numeric(
         replace(model, hbar=0.5 / np.pi), G, G, quad_order)(
         np.zeros(2), np.zeros(2)))
@@ -461,66 +463,27 @@ def gaussian_integral_check(model: SymplecticModel, W1: complex, W2: complex,
 
 
 def conjugation_check(model: SymplecticModel, u: MpcElement, h: fk.HeisenbergElement,
-                      quad_order: int = 40,
+                      quad_order: int = 60,
                       rng: np.random.Generator | None = None) -> float:
     """Max pointwise residual of U U_j(v, t) U^{-1} = U_j(gv, t) on kernels.
 
-    Both compositions on the left are carried out by numerical quadrature
-    (n = 1); the right side is the exact Heisenberg kernel at the transported
-    vector gv.  10 sample points are drawn in the unit box, from
+    The identity is checked multiplied on the right by U, as
+    K_U o K_{U_j(v, t)} = K_{U_j(gv, t)} o K_U with g = sigma(U): each side
+    is one `kernel_compose_numeric` of `mpc_kernel` and `heisenberg_kernel`
+    (n = 1), so this shares the factored Gauss-Hermite sum of the other
+    kernel checks.  10 sample pairs (z, w) are drawn in the unit box, from
     default_rng(0) when rng is None.
-
-    No kernel on the quadrature grid is formed node by node.  The outer
-    kernels K_U(z, u) and K_{U^{-1}}(u, w) factor over the grid axes by
-    `_grid_exponent`, and each sample's Q x Q left and right factors are
-    built from those inside the sample loop.  Each node w_j goes through U_j
-    once, giving coeffs_j and conj(c_j).  The routed centers are node + v, a
-    tensor grid, so conj(c) at the node (a', b') is px[a'] - i py[b'], and a
-    ValueError is raised if they are not.  At a tensor node z = (x_a, y_b)
-    the middle kernel coeffs_j exp((x_a + i y_b) conj(c_j)/2hbar) is then
-    coeffs_j Ex[a, j] EyT[j, b], and each of the Q x Q^2 tables Ex and EyT
-    is the product of two Q x Q exponential tables, one per axis of the
-    routed grid: 4 Q^2 exponentials in all.  The double sum over the grid
-    is, for one sample pair at a time, sum(left * ((Ex * right) @ EyT)):
-    one (Q, Q^2) @ (Q^2, Q) product.  The largest temporaries are three
-    Q x Q^2 arrays: Ex, EyT and the scaled copy of Ex.
     """
     if model.n != 1:
         raise ValueError("implemented for n = 1 only")
     if rng is None:
         rng = np.random.default_rng(0)
-    Q = quad_order
-    g = sigma(model, u)
     ku = mpc_kernel(model, u)
-    kinv = mpc_kernel(model, mpc_inverse(model, u))
-    r, wt = _scaled_rule(model, Q)
-    # node (a, b) sits at (r_a, r_b), row a * Q + b
-    nodes = np.stack(np.meshgrid(r, r, indexing="ij"), axis=-1).reshape(-1, 2)
-    coeffs, cc = _uj_route(model, h, nodes)
-    cc = cc.reshape(Q, Q)
-    px, py = cc.real[:, 0], -cc.imag[0]
-    if (cc.real != px[:, None]).any() or (-cc.imag != py).any():
-        raise ValueError("the routed centers node + v do not form a tensor grid")
-    target = uj_kernel_fn(model, fk.heisenberg_element(g @ np.array(h.v), h.t))
+    moved = fk.heisenberg_element(sigma(model, u) @ np.array(h.v), h.t)
     z = rng.uniform(-1, 1, size=(10, 2))
     w = rng.uniform(-1, 1, size=(10, 2))
-    cl, lx, ly, kl = _grid_exponent(model, ku, z, 1, Q)
-    cr, rx, ry, kr = _grid_exponent(model, kinv, w, 0, Q)
-    lx, ly, rx, ry = (wt * np.exp(f) for f in (lx, ly, rx, ry))
-    Xl = _exp_rows(r, kl * r)
-    Xr = _exp_rows(r, kr * r)
-    Xr *= coeffs.reshape(Q, Q)
-    s = 0.5 / model.hbar
-    Ex = (np.exp(s * np.multiply.outer(r, px))[:, :, None]
-          * np.exp(-1j * s * np.multiply.outer(r, py))[:, None, :]).reshape(Q, Q * Q)
-    EyT = (np.exp(1j * s * np.multiply.outer(px, r))[:, None, :]
-           * np.exp(s * np.multiply.outer(py, r))[None, :, :]).reshape(Q * Q, Q)
-    lhs = np.empty(len(z), dtype=complex)
-    scaled = np.empty_like(Ex)
-    for k in range(len(z)):
-        left = Xl * np.multiply.outer(lx[k], ly[k])
-        right = Xr * np.multiply.outer(rx[k], ry[k])
-        np.multiply(Ex, right.ravel(), out=scaled)
-        lhs[k] = np.sum(left * (scaled @ EyT))
-    lhs *= ku.lam * kinv.lam / np.pi**2 * np.exp(cl + cr)
-    return float(np.abs(lhs - target(z, w)).max())
+    lhs = kernel_compose_numeric(model, ku, heisenberg_kernel(model, h),
+                                 quad_order)(z, w)
+    rhs = kernel_compose_numeric(model, heisenberg_kernel(model, moved), ku,
+                                 quad_order)(z, w)
+    return float(np.abs(lhs - rhs).max())

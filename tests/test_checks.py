@@ -1,10 +1,13 @@
 """Tests for the check registry, run as a library without the command line."""
 
+from dataclasses import replace
+
 import pytest
 
 from sympdirac import checks
 from sympdirac import fock as fk
 from sympdirac import geometry as ge
+from sympdirac import mpc
 from sympdirac import symplinalg as sl
 
 
@@ -53,3 +56,19 @@ def test_group_law_suites_validate_each_law_once_per_batch(suite, monkeypatch):
     rows = checks.run_checks(flat_setup(), (suite,))
     assert all(r["pass"] for r in rows)
     assert len(calls) <= 4 * len(rows)
+
+
+def test_covariance_row_runs_at_the_setup_quad_order(monkeypatch):
+    orders = []
+    check = mpc.conjugation_check
+
+    def spy(*args, **kwargs):
+        orders.append(kwargs.get("quad_order"))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(mpc, "conjugation_check", spy)
+    setup = replace(flat_setup(), quad_order=47)
+    rows = checks.run_checks(setup, ("kernels",))
+    assert orders == [47, 47, 47]
+    row = next(r for r in rows if r["name"] == "heisenberg-covariance")
+    assert row["pass"] is True

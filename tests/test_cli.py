@@ -307,6 +307,34 @@ def test_verify_config_errors(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(broken)]) == 2
 
 
+@pytest.mark.parametrize("command", [["verify", "--suite", "cz"],
+                                     ["spectrum", "--degrees", "0"]])
+@pytest.mark.parametrize("where", ["absent-dir/out", "."])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, command, where):
+    # a missing directory, and a directory in the place of the file
+    out = tmp_path / where
+    assert cli.main(command + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_kernels_suite_passes_on_config_seed_40():
+    # heisenberg-covariance read 3.6e-5 here at a fixed quadrature order 40
+    cfg = cli.default_config()
+    cfg["seed"] = 40
+    report, code = cli.run_verify(cfg, suites=["kernels"])
+    assert code == 0, [c["name"] for c in report["checks"] if not c["pass"]]
+
+
+def test_default_config_passes_every_row_at_hbar_0_05():
+    cfg = cli.default_config()
+    cfg["model"]["hbar"] = 0.05
+    report, code = cli.run_verify(cfg)
+    assert code == 0, [c["name"] for c in report["checks"] if not c["pass"]]
+
+
 def test_verify_rejects_band_budget_violations():
     cfg = cli.default_config()
     cfg["torus"]["grid"] = 11  # below 3M + 1 for M = 4

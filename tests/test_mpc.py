@@ -1,7 +1,6 @@
 """Tests for Mp^c parameter arithmetic, fiber actions, and Berezin kernels."""
 
 import tracemalloc
-from functools import partial
 from math import factorial
 
 import numpy as np
@@ -411,12 +410,23 @@ def test_unitary_kernel_is_rotated_exponential():
             expect, rel=1e-12)
 
 
+def routed_uj(m, h, z, w):
+    """(U_j(v, t) e_w)(z) for z of shape (Z, 2n) and w of shape (W, 2n), as a
+    (Z, W) array: each w goes through fock.uj_apply on its own, and the
+    routed coherent state is read at every z by fock.combo_eval."""
+    out = np.empty((len(z), len(w)), dtype=complex)
+    for j, wj in enumerate(w):
+        routed = fk.uj_apply(m, h, fk.coherent_combo(np.ones(1), wj[None]))
+        out[:, j] = fk.combo_eval(m, routed, z)
+    return out
+
+
 def test_uj_kernel_matches_coherent_formula():
     m = sl.standard_model(1, hbar=0.7)
     rng = np.random.default_rng(RNG_SEED + 14)
     v = rng.normal(size=2)
     h = fk.heisenberg_element(v, 0.31)
-    fn = mpc.uj_kernel_fn(m, h)
+    K = mpc.heisenberg_kernel(m, h)
     nv = sl.metric_form(m, v, v)
     for _ in range(5):
         z = rng.uniform(-1, 1, size=2)
@@ -424,92 +434,74 @@ def test_uj_kernel_matches_coherent_formula():
         expect = np.exp(-1j * h.t / m.hbar - nv / (4 * m.hbar)
                         - sl.hermitean_form(m, v, w) / (2 * m.hbar)
                         + sl.hermitean_form(m, z, v + w) / (2 * m.hbar))
-        assert complex(fn(z, w)) == pytest.approx(expect, rel=1e-12)
+        assert complex(mpc.kernel_eval(m, K, z, w)) == pytest.approx(
+            expect, rel=1e-12)
+
+
+def test_heisenberg_kernel_matches_the_routed_action():
+    for m in models():
+        rng = np.random.default_rng(RNG_SEED + 21)
+        d = 2 * m.n
+        h = fk.heisenberg_element(rng.normal(size=d), 0.31)
+        K = mpc.heisenberg_kernel(m, h)
+        # the linear terms are what carry v
+        assert np.abs(K.lz).min() > 0.05 and np.abs(K.lw).min() > 0.05
+        z = rng.uniform(-1, 1, size=(3, d))
+        w = rng.uniform(-1, 1, size=(4, d))
+        want = routed_uj(m, h, z, w)
+        got = mpc.kernel_eval(m, K, z[:, None, :], w)
+        assert got.shape == (3, 4)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert complex(mpc.kernel_eval(m, K, z[1], w[2])) == pytest.approx(
+            want[1, 2], rel=1e-13)
 
 
 def test_kernels_reject_vectors_of_wrong_length():
     m = sl.standard_model(1, hbar=0.7)
     rng = np.random.default_rng(RNG_SEED + 23)
     K = mpc.mpc_kernel(m, mpc.random_mpc(m, rng))
-    uj = mpc.uj_kernel_fn(m, fk.heisenberg_element(rng.normal(size=2), 0.2))
+    uj = mpc.heisenberg_kernel(m, fk.heisenberg_element(rng.normal(size=2), 0.2))
     good, bad = np.zeros(2), np.zeros(3)
     for z, w in ((bad, good), (good, bad)):
-        with pytest.raises(ValueError, match="length 2n = 2"):
-            mpc.kernel_eval(m, K, z, w)
-        with pytest.raises(ValueError, match="length 2n = 2"):
-            uj(z, w)
+        for kernel in (K, uj):
+            with pytest.raises(ValueError, match="length 2n = 2"):
+                mpc.kernel_eval(m, kernel, z, w)
+    with pytest.raises(ValueError, match="length 2n = 2"):
+        mpc.heisenberg_kernel(m, fk.heisenberg_element(bad, 0.2))
     with pytest.raises(ValueError, match="length 2n = 2"):
         fk.creation_op(m, fk.fock_basis(1, 4), bad)
 
 
-def test_uj_kernel_routes_each_w_once_and_broadcasts(monkeypatch):
-    m = sl.standard_model(1, hbar=0.7)
-    rng = np.random.default_rng(RNG_SEED + 21)
-    v = rng.normal(size=2)
-    h = fk.heisenberg_element(v, 0.31)
-    nv = sl.metric_form(m, v, v)
-
-    def closed(z, w):
-        return np.exp(-1j * h.t / m.hbar - nv / (4 * m.hbar)
-                      - sl.hermitean_form(m, v, w) / (2 * m.hbar)
-                      + sl.hermitean_form(m, z, v + w) / (2 * m.hbar))
-
-    centers = []
-    uj_apply = fk.uj_apply
-
-    def counting(model, h, c):
-        centers.append(len(c.centers))
-        return uj_apply(model, h, c)
-
-    monkeypatch.setattr(fk, "uj_apply", counting)
-    fn = mpc.uj_kernel_fn(m, h)
-    k, n_w = 3, 5
-    layouts = [
-        (rng.uniform(-1, 1, size=(k, 1, 2)), rng.uniform(-1, 1, size=(1, n_w, 2))),
-        (rng.uniform(-1, 1, size=(n_w, 2)), rng.uniform(-1, 1, size=(n_w, 2))),
-        (rng.uniform(-1, 1, size=2), rng.uniform(-1, 1, size=(n_w, 2))),
-        (rng.uniform(-1, 1, size=(k, 2)), rng.uniform(-1, 1, size=2)),
-    ]
-    for z, w in layouts:
-        centers.clear()
-        got = fn(z, w)
-        shape = np.broadcast_shapes(z.shape[:-1], w.shape[:-1])
-        assert got.shape == shape
-        assert centers == [w[..., 0].size]
-        zb, wb = np.broadcast_arrays(z, w)
-        for idx in np.ndindex(shape):
-            assert got[idx] == pytest.approx(closed(zb[idx], wb[idx]), rel=1e-12)
-
-
 def unfactored_conjugation(m, u, h, order, seed):
-    """Left and right sides of conjugation_check's identity at its 10 sample
-    pairs, drawn from default_rng(seed), with the (order^2, order^2) middle
-    kernel formed node by node and both weights multiplied in."""
-    ku = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, u))
-    kinv = partial(mpc.kernel_eval, m, mpc.mpc_kernel(m, mpc.mpc_inverse(m, u)))
-    kuj = mpc.uj_kernel_fn(m, h)
-    target = mpc.uj_kernel_fn(m, fk.heisenberg_element(mpc.sigma(m, u) @ np.array(h.v), h.t))
+    """Both sides of conjugation_check's identity K_U o K_h = K_h' o K_U,
+    h' = (sigma(U) v, t), at its 10 sample pairs drawn from
+    default_rng(seed), summed node by node over the tensor rule: the kernel
+    of U by kernel_eval, those of U_j routed through fock.uj_apply."""
+    ku = mpc.mpc_kernel(m, u)
+    moved = fk.heisenberg_element(mpc.sigma(m, u) @ np.array(h.v), h.t)
     nodes, weights = tensor_rule(order, np.sqrt(2.0 * m.hbar))
-    M = kuj(nodes[:, None, :], nodes[None, :, :]) * weights[:, None] * weights[None, :]
     sample = np.random.default_rng(seed)
     z = sample.uniform(-1, 1, size=(10, 2))
     w = sample.uniform(-1, 1, size=(10, 2))
-    lhs = np.einsum("si,ij,sj->s", ku(z[:, None, :], nodes), M,
-                    kinv(nodes, w[:, None, :]))
-    return lhs, target(z, w)
+    lhs = np.einsum("si,i,is->s", mpc.kernel_eval(m, ku, z[:, None, :], nodes),
+                    weights, routed_uj(m, h, nodes, w))
+    rhs = np.einsum("si,i,is->s", routed_uj(m, moved, z, nodes), weights,
+                    mpc.kernel_eval(m, ku, nodes[:, None, :], w))
+    return lhs, rhs
 
 
 @pytest.mark.parametrize("quad_order", [8, 11, 12])
 def test_conjugation_check_matches_unfactored_quadrature(quad_order):
-    m = sl.standard_model(1, hbar=0.7)
+    # at hbar = 0.7 order 11 already resolves the identity to 3.5e-7
+    m = sl.standard_model(1, hbar=0.3)
     rng = np.random.default_rng(RNG_SEED + 22)
     u = mpc.random_mpc(m, rng, scale=0.6)
     h = fk.heisenberg_element(rng.uniform(-1.5, 1.5, size=2), 0.4)
     seed = int(rng.integers(2**31))
     got = mpc.conjugation_check(m, u, h, quad_order=quad_order,
                                 rng=np.random.default_rng(seed))
-    lhs, want = unfactored_conjugation(m, u, h, quad_order, seed)
-    expect = float(np.abs(lhs - want).max())
+    lhs, rhs = unfactored_conjugation(m, u, h, quad_order, seed)
+    expect = float(np.abs(lhs - rhs).max())
     assert expect > 1e-6  # a truncated rule: this pins the quadrature sum itself
     assert got == pytest.approx(expect, abs=1e-12)
 
@@ -521,19 +513,20 @@ def test_conjugation_check_matches_unfactored_quadrature_at_order_40(hbar):
     u = mpc.random_mpc(m, rng, scale=0.4)
     h = fk.heisenberg_element(rng.uniform(-1, 1, size=2), 0.3)
     seed = int(rng.integers(2**31))
-    got = mpc.conjugation_check(m, u, h, rng=np.random.default_rng(seed))
-    lhs, want = unfactored_conjugation(m, u, h, 40, seed)
-    expect = float(np.abs(lhs - want).max())
+    got = mpc.conjugation_check(m, u, h, quad_order=40,
+                                rng=np.random.default_rng(seed))
+    lhs, rhs = unfactored_conjugation(m, u, h, 40, seed)
+    expect = float(np.abs(lhs - rhs).max())
     assert np.isfinite(got)
-    assert abs(got - expect) <= 1e-12 * np.abs(want).max()
+    assert abs(got - expect) <= 1e-12 * np.abs(rhs).max()
 
 
 @pytest.mark.parametrize("order", [40, 41])
 @pytest.mark.parametrize("hbar", [0.3, 1.0, 3.0])
 def test_conjugation_check_matches_unfactored_quadrature_far_from_the_origin(
         order, hbar):
-    # |v| = 2 moves the routed grid well off the nodes, and order 41 puts
-    # an exact 0 on both axes of the rule and of the routed centers
+    # |v| = 2 puts large linear terms in the U_j kernels, and order 41 puts
+    # an exact 0 on both axes of the rule
     m = sl.standard_model(1, hbar=hbar)
     rng = np.random.default_rng(RNG_SEED + 27)
     u = mpc.random_mpc(m, rng, scale=0.4)
@@ -542,16 +535,17 @@ def test_conjugation_check_matches_unfactored_quadrature_far_from_the_origin(
     seed = int(rng.integers(2**31))
     got = mpc.conjugation_check(m, u, h, quad_order=order,
                                 rng=np.random.default_rng(seed))
-    lhs, want = unfactored_conjugation(m, u, h, order, seed)
-    expect = float(np.abs(lhs - want).max())
+    lhs, rhs = unfactored_conjugation(m, u, h, order, seed)
+    expect = float(np.abs(lhs - rhs).max())
     assert np.isfinite(got)
-    assert abs(got - expect) <= 1e-12 * np.abs(want).max()
+    assert abs(got - expect) <= 1e-12 * np.abs(rhs).max()
 
 
 @pytest.mark.parametrize("order", [40, 41])
 def test_conjugation_check_exponentiates_at_most_8q2_entries(monkeypatch, order):
-    # the Heisenberg tables come from per-axis Q x Q factors; one Q x Q^2
-    # table of exponentials alone would be 5 Q^3 / 8 entries over the bound
+    # two compositions of the 10 sample pairs, each 2 P Q exponentials for
+    # the per-axis factors, (Q + 1) // 2 rows of Q for the cross table and
+    # P for the constants, and one lam per Heisenberg kernel
     counted = []
 
     class CountingNumpy:
@@ -570,24 +564,9 @@ def test_conjugation_check_exponentiates_at_most_8q2_entries(monkeypatch, order)
     want = mpc.conjugation_check(m, u, h, quad_order=order)
     monkeypatch.setattr(mpc, "np", CountingNumpy())
     assert mpc.conjugation_check(m, u, h, quad_order=order) == want
-    assert 0 < sum(counted) <= 8 * order**2
-
-
-@pytest.mark.parametrize("shift", [1e-3, 1e-3j])
-def test_conjugation_check_refuses_centers_off_a_tensor_grid(monkeypatch, shift):
-    route = mpc._uj_route
-
-    def skewed(model, h, w):
-        coeffs, cc = route(model, h, w)
-        cc = cc.copy()
-        cc[7] += shift
-        return coeffs, cc
-
-    m = sl.standard_model(1, hbar=0.7)
-    h = fk.heisenberg_element(np.array([0.3, -0.5]), 0.1)
-    monkeypatch.setattr(mpc, "_uj_route", skewed)
-    with pytest.raises(ValueError, match="tensor grid"):
-        mpc.conjugation_check(m, mpc.identity_mpc(m), h)
+    P, Q = 10, order
+    two_compositions = 2 * (2 * P * Q + (Q + 1) // 2 * Q + P) + 2
+    assert sum(counted) == two_compositions <= 8 * order**2
 
 
 def test_conjugation_check_memory_peak():
@@ -595,14 +574,13 @@ def test_conjugation_check_memory_peak():
     rng = np.random.default_rng(RNG_SEED + 25)
     u = mpc.random_mpc(m, rng, scale=0.4)
     h = fk.heisenberg_element(rng.uniform(-1, 1, size=2), 0.3)
+    P = 10
     for Q in (40, 60):
-        # complex words: the tables Ex and EyT and each sample's scaled copy
-        # of Ex, all Q x Q^2, then Q^2 each for the node array, the routed
-        # coeffs and centers, the per-axis factors of Ex and EyT, the factor
-        # tables Xl and Xr, and each sample's left, right and (Q, Q)
-        # product; the 10 x Q^2 side factors are never formed, and the
-        # Q^2 x Q^2 middle kernel alone would take 41 MB at Q = 40
-        bound = 16 * (3 * Q**3 + 16 * Q**2)
+        # complex words: one composition at a time, its Q x Q cross table,
+        # the reciprocal half and the (P, Q) factors of both kernels, as in
+        # test_kernel_composition_memory_peak; the Q^2 x Q^2 middle kernel
+        # of a node-by-node double sum alone would take 41 MB at Q = 40
+        bound = 16 * (2 * Q**2 + 8 * P * Q)
         mpc.conjugation_check(m, u, h, quad_order=Q)  # warm
         tracemalloc.start()
         try:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
@@ -320,6 +321,30 @@ def _write_output(text: str, path: str | None) -> None:
             from exc
 
 
+def _refuse_unwritable(path: str | None) -> None:
+    """Raise ConfigError when the file at path could not be written.
+
+    Looks at the path without opening it, so that a refused path is found
+    before any work runs and nothing is created or truncated until the
+    output is ready (_write_output still reports a failure at that point).
+    """
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = None if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        code = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code is not None:
+        raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _write_report(report: dict, path: str | None) -> None:
     text = json.dumps(_json_safe(report), indent=2, sort_keys=True,
                       allow_nan=False)
@@ -387,6 +412,7 @@ def main(argv=None) -> int:
         sys.stdout.write(emit_schema() + "\n")
         return 0
     try:
+        _refuse_unwritable(args.out)
         config = _load_config(args.config)
         if args.command == "verify":
             report, code = run_verify(config, suites=args.suites)

@@ -22,6 +22,7 @@ frame entry point.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,9 +49,12 @@ class DiracContext:
     # operators on the coordinate frame, as stacks multiplying nabla_k
     fiber: dict
     contract: dict
+    # name -> ge.DegreeReach of contract[name], and "A" -> of fiber["Ds"]
+    reach: dict
     tau: np.ndarray        # grid + (2n,)
     jtau: np.ndarray
     ginv: np.ndarray       # inverse metric on the coordinate frame
+    weights: np.ndarray    # (F,) fock.norm_weights, the fiber pairing
 
     @property
     def torus(self) -> TorusModel:
@@ -102,6 +106,18 @@ class DiracContext:
         table = ge.mode_coefficients(
             torus, stacked.reshape(torus.grid_shape + (-1,)))
         return table.reshape(len(stacked), -1), where.reshape(3, F, F)
+
+    @cached_property
+    def curvature_reach(self) -> dict:
+        """form -> ge.DegreeReach of the antisymmetrised curvature
+        prefactors M[l, s] - M[s, l] of that form, made on first use."""
+        forms = ("ca", "clcl")
+        patterns = []
+        for form in forms:
+            M = _curvature_prefactors(self, form)
+            patterns.append((M != np.swapaxes(M, 0, 1)).any(axis=(0, 1)))
+        return dict(zip(forms, ge.degree_reach(self.basis.degrees,
+                                               np.stack(patterns))))
 
     @cached_property
     def _pattern(self) -> tuple:
@@ -172,83 +188,151 @@ def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:
     }
     Om = m.Omega
     tau = ge.tau_field(conn).real
+    # coordinate dual frame: e^i = sum_k Omega[i, k] e_k
+    contract = {name: np.einsum("ik,iFG->kFG", Om, stack)
+                for name, stack in fiber.items()}
     return DiracContext(
         conn=conn,
         basis=basis,
         action=ge.fiber_action(conn, basis),
         fiber=fiber,
-        # coordinate dual frame: e^i = sum_k Omega[i, k] e_k
-        contract={name: np.einsum("ik,iFG->kFG", Om, stack)
-                  for name, stack in fiber.items()},
+        contract=contract,
+        reach=dict(zip(list(contract) + ["A"], ge.degree_reach(
+            basis.degrees, np.stack([(stack != 0).any(axis=0) for stack in
+                                     [*contract.values(), fiber["Ds"]]])))),
         tau=tau,
         jtau=np.einsum("ij,...j->...i", m.j, tau),
         ginv=np.linalg.inv(Om @ m.j),
+        weights=fk.norm_weights(m, basis),
     )
 
 
 # ---------------------------------------------------------------------------
-# kernels on raw values
+# kernels on degree windows
 #
-# A constant fiber matrix acts on a whole grid as one matmul, and each
-# operator computes the first covariant derivatives of its input once,
-# sharing them between every term that needs them.
+# The fiber basis is ordered by degree, so the Fock degrees a section
+# occupies are one column slice of its grid + (F,) values: its window.
+# Each public operator finds the window of its input, and every kernel
+# below takes a windowed field as the pair (cols, vals), vals of shape
+# grid + (w,) holding the columns cols, and returns the pair of its result.
+# The window of a result is read from the non-zero patterns of what acts,
+# clipped to the fiber: ge.nabla_window for the covariant derivative,
+# ctx.reach for the contract stacks and A, ctx.curvature_reach for the
+# curvature prefactors; the full fiber is the widest window.  A constant
+# fiber matrix acts on a whole grid as one matmul, and each operator
+# computes the first covariant derivatives of its input once, sharing them
+# between every term that needs them.
 
 
-def _apply(S: np.ndarray, vals: np.ndarray) -> np.ndarray:
+def _on_window(ctx: DiracContext, psi: SpinorField) -> tuple:
+    """psi as a windowed field: the columns of the degrees it occupies."""
+    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
+    cols = ctx.action.reach.field_window(vals)
+    return cols, np.ascontiguousarray(vals[..., cols], dtype=complex)
+
+
+def _full(ctx: DiracContext, cols: slice, vals: np.ndarray) -> np.ndarray:
+    """A windowed field (or stack) at full width, exact zeros off cols; the
+    kernels' results are fresh arrays, so a full window is kept as it is."""
+    if cols == slice(0, ctx.basis.dim):
+        return vals
+    out = np.zeros(vals.shape[:-1] + (ctx.basis.dim,), dtype=complex)
+    out[..., cols] = vals
+    return out
+
+
+def _widen(vals: np.ndarray, cols: slice, out: slice) -> np.ndarray:
+    """Field values on cols carried to the window out, which holds cols;
+    vals itself when the two windows agree."""
+    if cols == out:
+        return vals
+    wide = np.zeros(vals.shape[:-1] + (out.stop - out.start,), dtype=complex)
+    wide[..., cols.start - out.start:cols.stop - out.start] = vals
+    return wide
+
+
+def _add(a: tuple, b: tuple, sign: float = 1.0) -> tuple:
+    """a + sign b for windowed fields, on the union of their windows; a's
+    values are reused (and overwritten) when its window holds b's."""
+    (ca, va), (cb, vb) = a, b
+    if ca.start == ca.stop or cb.start == cb.stop:
+        cols = cb if ca.start == ca.stop else ca
+    else:
+        cols = slice(min(ca.start, cb.start), max(ca.stop, cb.stop))
+    out = _widen(va, ca, cols)
+    part = out[..., cb.start - cols.start:cb.stop - cols.start]
+    (np.add if sign > 0 else np.subtract)(part, vb, out=part)
+    return cols, out
+
+
+def _apply(S: np.ndarray, vals: np.ndarray, cols: slice,
+           out: slice) -> np.ndarray:
     """The constant fiber matrix S, or each of a stack of them, at every
-    point of grid + (F,) values; a stack gives a stack of fields."""
-    F = vals.shape[-1]
-    return (vals.reshape(-1, F) @ np.swapaxes(S, -1, -2)).reshape(
-        S.shape[:-2] + vals.shape)
+    point of a field on the window cols, kept on the window out, which
+    must hold the window of S applied to cols: one (points, w) @ (w, w')
+    gemm.  A stack gives a stack of fields."""
+    sub = S[..., out, cols].swapaxes(-1, -2)
+    points = vals.shape[:-1]
+    flat = vals.reshape(math.prod(points), cols.stop - cols.start)
+    return (flat @ sub).reshape(sub.shape[:-2] + points + sub.shape[-1:])
 
 
-def _derivs(ctx: DiracContext, vals: np.ndarray):
-    """nabla_0 vals, ..., nabla_{2n-1} vals, yielded one at a time from one
-    gather of each off-diagonal slot of the fiber action."""
-    return ge.cov_derivs(ctx.torus, ctx.action, vals, range(ctx.torus.dim))
+def _derivs(ctx: DiracContext, cols: slice, vals: np.ndarray) -> tuple:
+    """(window, nabla_0 vals, ..., nabla_{2n-1} vals): the derivatives of a
+    windowed field, yielded one at a time from one gather of each
+    off-diagonal slot of the fiber action."""
+    return (ge.nabla_window(ctx.action, cols),
+            ge.cov_derivs(ctx.torus, ctx.action, vals, range(ctx.torus.dim),
+                          cols))
 
 
-def _first_order(ctx: DiracContext, grads, *names: str) -> list:
-    """sum_k contract[name][k] nabla_k psi for each name.
+def _first_order(ctx: DiracContext, cols: slice, grads, *names: str) -> list:
+    """sum_k contract[name][k] nabla_k psi for each name, windowed.
 
-    grads holds or yields nabla_0 psi, ..., nabla_{2n-1} psi; each
+    grads holds or yields nabla_0 psi, ..., nabla_{2n-1} psi on the window
+    cols, and each name's result comes on the window of its contract stack
+    applied to cols, so each product is a (points, w) @ (w, w') gemm.  Each
     derivative serves every name as it arrives and is let go before the
     next one is made (enumerate's result tuple would keep it), so a
     generator of them never holds more than one.
     """
+    wins = [ctx.reach[name].window(cols) for name in names]
     outs, k = [], 0
     for grad in grads:
         for i, name in enumerate(names):
+            term = _apply(ctx.contract[name][k], grad, cols, wins[i])
             if k == 0:
-                outs.append(_apply(ctx.contract[name][k], grad))
+                outs.append(term)
             else:
-                outs[i] += _apply(ctx.contract[name][k], grad)
+                outs[i] += term
         del grad
         k += 1
-    return outs
+    return list(zip(wins, outs))
 
 
-def _dirac_vals(ctx: DiracContext, vals: np.ndarray, name: str) -> np.ndarray:
-    return _first_order(ctx, _derivs(ctx, vals), name)[0]
+def _dirac_vals(ctx: DiracContext, cols: slice, vals: np.ndarray,
+                name: str) -> tuple:
+    return _first_order(ctx, *_derivs(ctx, cols, vals), name)[0]
 
 
-def _p_vals(ctx: DiracContext, grads) -> np.ndarray:
-    """2[D', D''] psi from the first covariant derivatives of psi."""
-    ds, dp = _first_order(ctx, grads, "Ds", "Dp")
-    out = _dirac_vals(ctx, ds, "Dp")
-    del ds
-    out -= _dirac_vals(ctx, dp, "Ds")
+def _p_vals(ctx: DiracContext, ds: tuple, dp: tuple) -> tuple:
+    """2[D', D''] psi from the windowed fields ds = D'' psi and dp = D' psi,
+    which _first_order makes in one pass over the derivatives of psi.
+    """
+    cols, out = _add(_dirac_vals(ctx, *ds, "Dp"), _dirac_vals(ctx, *dp, "Ds"),
+                     -1.0)
     out *= 2.0
-    return out
+    return cols, out
 
 
-def _wrap(ctx: DiracContext, vals: np.ndarray) -> SpinorField:
-    return SpinorField(torus=ctx.torus, basis=ctx.basis, values=vals)
+def _wrap(ctx: DiracContext, cols: slice, vals: np.ndarray) -> SpinorField:
+    return SpinorField(torus=ctx.torus, basis=ctx.basis,
+                       values=_full(ctx, cols, vals))
 
 
 def _along(stack: np.ndarray, X) -> np.ndarray:
-    """sum_b X^b stack[b] for a (2n,) + grid + (F,) stack and a vector (field)
-    X, as one batched (1, 2n) @ (2n, F) product per grid point; on the stack
+    """sum_b X^b stack[b] for a (2n,) + grid + (w,) stack and a vector (field)
+    X, as one batched (1, 2n) @ (2n, w) product per grid point; on the stack
     of nabla_full this is nabla_X psi."""
     stack = np.asarray(stack)
     X = np.asarray(X, dtype=stack.dtype)
@@ -257,33 +341,30 @@ def _along(stack: np.ndarray, X) -> np.ndarray:
 
 def nabla_dir(ctx: DiracContext, psi: SpinorField, X: np.ndarray) -> SpinorField:
     """nabla_X psi for a constant vector or vector field X."""
-    return _wrap(ctx, _along(nabla_full(ctx, psi), X))
+    cols, grads = _nabla_stack(ctx, *_on_window(ctx, psi))
+    return _wrap(ctx, cols, _along(grads, X))
 
 
 def dirac_D(ctx: DiracContext, psi: SpinorField) -> SpinorField:
-    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
-    return _wrap(ctx, _dirac_vals(ctx, vals, "D"))
+    return _wrap(ctx, *_dirac_vals(ctx, *_on_window(ctx, psi), "D"))
 
 
 def dirac_Dtilde(ctx: DiracContext, psi: SpinorField) -> SpinorField:
-    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
-    return _wrap(ctx, _dirac_vals(ctx, vals, "Dt"))
+    return _wrap(ctx, *_dirac_vals(ctx, *_on_window(ctx, psi), "Dt"))
 
 
 def dirac_Dprime(ctx: DiracContext, psi: SpinorField) -> SpinorField:
-    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
-    return _wrap(ctx, _dirac_vals(ctx, vals, "Dp"))
+    return _wrap(ctx, *_dirac_vals(ctx, *_on_window(ctx, psi), "Dp"))
 
 
 def dirac_Dsecond(ctx: DiracContext, psi: SpinorField) -> SpinorField:
-    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
-    return _wrap(ctx, _dirac_vals(ctx, vals, "Ds"))
+    return _wrap(ctx, *_dirac_vals(ctx, *_on_window(ctx, psi), "Ds"))
 
 
 def P_op(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """P = 2[D', D'']; degree-preserving and second order."""
-    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
-    return _wrap(ctx, _p_vals(ctx, _derivs(ctx, vals)))
+    grads = _derivs(ctx, *_on_window(ctx, psi))
+    return _wrap(ctx, *_p_vals(ctx, *_first_order(ctx, *grads, "Ds", "Dp")))
 
 
 def dirac_via_frame(ctx: DiracContext, psi: SpinorField, frame: np.ndarray,
@@ -296,12 +377,26 @@ def dirac_via_frame(ctx: DiracContext, psi: SpinorField, frame: np.ndarray,
     dual = ge.dual_frame(ctx.torus, frame)
     # nabla_{e^i} psi for each dual frame vector, then the fiber stack at e_i
     grads = np.einsum("...bi,b...G->i...G", dual, nabla_full(ctx, psi))
-    return _wrap(ctx, np.einsum("...bi,bFG,i...G->...F", frame,
-                                ctx.fiber[name], grads))
+    return SpinorField(torus=ctx.torus, basis=ctx.basis,
+                       values=np.einsum("...bi,bFG,i...G->...F", frame,
+                                        ctx.fiber[name], grads))
 
 
 # ---------------------------------------------------------------------------
 # inner products and adjoints
+
+
+def _l2(ctx: DiracContext, a: tuple, b: tuple) -> complex:
+    """l2_inner of two windowed fields, summed over the columns they share."""
+    (ca, va), (cb, vb) = a, b
+    cols = slice(max(ca.start, cb.start), min(ca.stop, cb.stop))
+    if cols.start >= cols.stop:
+        return 0j
+    w = ctx.weights[cols]
+    v1 = va[..., cols.start - ca.start:cols.stop - ca.start]
+    v2 = vb[..., cols.start - cb.start:cols.stop - cb.start]
+    dens = np.einsum("...F,F,...F->...", v1, w, v2.conj())
+    return complex((2.0 * np.pi) ** ctx.torus.dim * dens.mean())
 
 
 def l2_inner(ctx: DiracContext, psi1: SpinorField, psi2: SpinorField) -> complex:
@@ -309,51 +404,80 @@ def l2_inner(ctx: DiracContext, psi1: SpinorField, psi2: SpinorField) -> complex
 
     Linear in the first argument; exact for band-limited integrands since
     the uniform grid mean integrates trig polynomials below the grid size.
+    Both fields are taken at full width, the widest window: finding their
+    windows would cost as much as the sum.
     """
-    w = fk.norm_weights(ctx.model, ctx.basis)
+    full = slice(0, ctx.basis.dim)
     v1, v2 = (ge.spinor_values(p, ctx.torus, ctx.basis) for p in (psi1, psi2))
-    dens = np.einsum("...F,F,...F->...", v1, w, v2.conj())
-    return complex((2.0 * np.pi) ** ctx.torus.dim * dens.mean())
+    return _l2(ctx, (full, v1), (full, v2))
 
 
 def l2_norm(ctx: DiracContext, psi: SpinorField) -> float:
     return float(np.sqrt(max(l2_inner(ctx, psi, psi).real, 0.0)))
 
 
+def _norm(ctx: DiracContext, a: tuple) -> float:
+    return float(np.sqrt(max(_l2(ctx, a, a).real, 0.0)))
+
+
 def oneform_inner(ctx: DiracContext, beta1: np.ndarray,
                   beta2: np.ndarray) -> complex:
     """Inner product of spinor-valued 1-forms, sum g^{ab} <beta_a, beta'_b>."""
-    w = fk.norm_weights(ctx.model, ctx.basis)
-    dens = np.einsum("ab,a...F,F,b...F->...", ctx.ginv, beta1, w, beta2.conj())
+    dens = np.einsum("ab,a...F,F,b...F->...", ctx.ginv, beta1, ctx.weights,
+                     beta2.conj())
     return complex((2.0 * np.pi) ** ctx.torus.dim * dens.mean())
+
+
+def _nabla_stack(ctx: DiracContext, cols: slice, vals: np.ndarray) -> tuple:
+    """All covariant derivatives of a windowed field, (2n,) + grid + (w',)."""
+    out_cols, derivs = _derivs(ctx, cols, vals)
+    w = out_cols.stop - out_cols.start
+    out = np.empty((ctx.torus.dim,) + vals.shape[:-1] + (w,), dtype=complex)
+    # next() rather than a for loop, whose variable would hold each
+    # direction while the next one is made
+    for b in range(len(out)):
+        out[b] = next(derivs)
+    return out_cols, out
 
 
 def nabla_full(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
     """All covariant derivatives, shape (2n,) + grid + (F,)."""
-    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
-    out = np.empty((ctx.torus.dim,) + vals.shape, dtype=complex)
-    # next() rather than a for loop, whose variable would hold each
-    # direction while the next one is made
-    derivs = _derivs(ctx, vals)
-    for b in range(len(out)):
-        out[b] = next(derivs)
-    return out
+    return _full(ctx, *_nabla_stack(ctx, *_on_window(ctx, psi)))
+
+
+def _aj_tau(ctx: DiracContext, cols: slice, vals: np.ndarray) -> tuple:
+    # Ds = -A
+    out = ctx.reach["A"].window(cols)
+    return out, _along(_apply(ctx.fiber["Ds"], vals, cols, out), -ctx.tau)
 
 
 def aj_tau(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """Fiber derivation along the torsion vector, A(tau) psi."""
-    vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
-    # Ds = -A
-    return _wrap(ctx, _along(_apply(ctx.fiber["Ds"], vals), -ctx.tau))
+    return _wrap(ctx, *_aj_tau(ctx, *_on_window(ctx, psi)))
 
 
 def adjoint_residual(ctx: DiracContext, psi1: SpinorField,
                      psi2: SpinorField) -> float:
     """|<D' psi1, psi2> - <psi1, (D'' + A(tau)) psi2>|."""
-    lhs = l2_inner(ctx, dirac_Dprime(ctx, psi1), psi2)
-    rhs_field = _wrap(ctx, dirac_Dsecond(ctx, psi2).values
-                      + aj_tau(ctx, psi2).values)
-    return abs(lhs - l2_inner(ctx, psi1, rhs_field))
+    a, b = _on_window(ctx, psi1), _on_window(ctx, psi2)
+    lhs = _l2(ctx, _dirac_vals(ctx, *a, "Dp"), b)
+    rhs = _add(_dirac_vals(ctx, *b, "Ds"), _aj_tau(ctx, *b))
+    return abs(lhs - _l2(ctx, a, rhs))
+
+
+def _nabla_star(ctx: DiracContext, cols: slice, beta: np.ndarray) -> tuple:
+    """nabla_star of a windowed 1-form, beta of shape (2n,) + grid + (w,)."""
+    Gamma = ctx.conn.Gamma
+    out_cols = ge.nabla_window(ctx.action, cols)
+    at = slice(cols.start - out_cols.start, cols.stop - out_cols.start)
+    out = _widen(_along(beta, ctx.jtau), cols, out_cols)
+    for aa, bb in zip(*np.nonzero(ctx.ginv)):
+        term = next(ge.cov_derivs(ctx.torus, ctx.action, beta[bb], (aa,),
+                                  cols))
+        term[..., at] -= _along(beta, Gamma[aa][..., :, bb])
+        term *= ctx.ginv[aa, bb]
+        out -= term
+    return out_cols, out
 
 
 def nabla_star(ctx: DiracContext, beta: np.ndarray) -> SpinorField:
@@ -363,19 +487,16 @@ def nabla_star(ctx: DiracContext, beta: np.ndarray) -> SpinorField:
     (nabla_a beta)(e_b) = nabla_a(beta_b) - beta(Gamma_a e_b) on the
     coordinate frame.  Adjoint to nabla_full for unitary connections.
     """
-    Gamma = ctx.conn.Gamma
-    out = _along(beta, ctx.jtau)
-    for aa, bb in zip(*np.nonzero(ctx.ginv)):
-        term = ge.cov_deriv_values(ctx.torus, ctx.action, beta[bb], aa)
-        term -= _along(beta, Gamma[aa][..., :, bb])
-        term *= ctx.ginv[aa, bb]
-        out -= term
-    return _wrap(ctx, out)
+    beta = np.asarray(beta, dtype=complex)
+    cols = ctx.action.reach.field_window(beta)
+    return _wrap(ctx, *_nabla_star(ctx, cols,
+                                   np.ascontiguousarray(beta[..., cols])))
 
 
 def laplacian(ctx: DiracContext, psi: SpinorField) -> SpinorField:
     """nabla* nabla psi = -g^{ab} nabla^2_{a,b} psi + nabla_{J tau} psi."""
-    return nabla_star(ctx, nabla_full(ctx, psi))
+    return _wrap(ctx, *_nabla_star(ctx, *_nabla_stack(
+        ctx, *_on_window(ctx, psi))))
 
 
 # ---------------------------------------------------------------------------
@@ -405,19 +526,31 @@ def _curvature_prefactors(ctx: DiracContext, form: str) -> np.ndarray:
     return coeff * np.einsum("plFH,psHG->lsFG", left, right)
 
 
-def _curvature_vals(ctx: DiracContext, grads: np.ndarray,
-                    form: str) -> np.ndarray:
+def _curvature_vals(ctx: DiracContext, cols: slice, grads: np.ndarray,
+                    form: str) -> tuple:
+    """The curvature term from the first derivatives grads on the window
+    cols; the second derivatives come on ge.nabla_window(ctx.action, cols).
+
+    R and T are antisymmetric in (l, s), so one pass over l < s applies
+    M[l, s] - M[s, l], and its window is read from those differences: the
+    degree +/-2 blocks of the 'clcl' prefactors cancel in them exactly.
+    """
     M = _curvature_prefactors(ctx, form)
-    T = ge.torsion_tensor(ctx.conn)
-    out = np.zeros(grads.shape[1:], dtype=complex)
-    # R and T are antisymmetric in (l, s), so one pass over l < s with
-    # M[l, s] - M[s, l]; R(e_l, e_s) psi reuses the first derivatives
+    M = M - np.swapaxes(M, 0, 1)
+    inner = ge.nabla_window(ctx.action, cols)
+    at = slice(cols.start - inner.start, cols.stop - inner.start)
+    out_cols = ctx.curvature_reach[form].window(inner)
+    out = np.zeros(grads.shape[1:-1] + (out_cols.stop - out_cols.start,),
+                   dtype=complex)
+    # R(e_l, e_s) psi reuses the first derivatives
     for l, s in combinations(range(ctx.torus.dim), 2):
-        common = ge.cov_deriv_values(ctx.torus, ctx.action, grads[s], l)
-        common -= ge.cov_deriv_values(ctx.torus, ctx.action, grads[l], s)
-        common -= _along(grads, T[l, s])
-        out += _apply(M[l, s] - M[s, l], common)
-    return out
+        common = next(ge.cov_derivs(ctx.torus, ctx.action, grads[s], (l,),
+                                    cols))
+        common -= next(ge.cov_derivs(ctx.torus, ctx.action, grads[l], (s,),
+                                     cols))
+        common[..., at] -= _along(grads, ge.torsion_component(ctx.conn, l, s))
+        out += _apply(M[l, s], common, inner, out_cols)
+    return out_cols, out
 
 
 def curvature_term(ctx: DiracContext, psi: SpinorField,
@@ -427,7 +560,8 @@ def curvature_term(ctx: DiracContext, psi: SpinorField,
     The curvature-torsion part of the identity for [D', D''], with the
     prefactors M of form 'ca' or 'clcl'; both forms give the same term.
     """
-    return _wrap(ctx, _curvature_vals(ctx, nabla_full(ctx, psi), form))
+    return _wrap(ctx, *_curvature_vals(
+        ctx, *_nabla_stack(ctx, *_on_window(ctx, psi)), form))
 
 
 def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
@@ -439,25 +573,29 @@ def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
                         (R(e_l, e_s) - nabla_{T(e_l, e_s)})
 
     assembled from the independently implemented Laplacian, curvature and
-    torsion, which share one nabla_full of psi; reliable for sections of
-    degree <= max_degree - 2.
+    torsion, which share one nabla_full of psi, all on the degree window
+    of psi; reliable for sections of degree <= max_degree - 2.
     """
     if not ctx.conn.unitary:
         raise ValueError("the curvature identity requires a unitary connection")
     hbar = ctx.model.hbar
-    grads = nabla_full(ctx, psi)
-    comm = _p_vals(ctx, grads)
-    comm *= 0.5
-    rhs = nabla_star(ctx, grads).values
-    rhs *= -(0.5 / hbar)
+    field = _on_window(ctx, psi)
+    den = _norm(ctx, field)
+    cols, grads = _nabla_stack(ctx, *field)
+    del field
+    # D'' psi and D' psi now, and [D', D''] from them once grads is let go
+    first = _first_order(ctx, cols, grads, "Ds", "Dp")
+    rhs = _nabla_star(ctx, cols, grads)
+    rhs[1][...] *= -(0.5 / hbar)
     jtau = _along(grads, ctx.jtau)
     jtau *= 0.5 / hbar
-    rhs += jtau
+    rhs = _add(rhs, (cols, jtau))
     del jtau
-    rhs += _curvature_vals(ctx, grads, form)
-    comm -= rhs
-    num = l2_norm(ctx, _wrap(ctx, comm))
-    den = l2_norm(ctx, psi)
+    rhs = _add(rhs, _curvature_vals(ctx, cols, grads, form))
+    del grads
+    comm = _p_vals(ctx, *first)
+    comm[1][...] *= 0.5
+    num = _norm(ctx, _add(comm, rhs, -1.0))
     return num / den if den > 0 else num
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 
@@ -122,7 +122,10 @@ def partial_derivative(torus: TorusModel, field: np.ndarray,
     """
     G = torus.grid_size
     vals = np.ascontiguousarray(field, dtype=complex)
-    out = np.matmul(_diff_matrix(G), vals.view(float).reshape(G ** axis, G, -1))
+    # the trailing length spelt out, so that an empty field reshapes too
+    rest = 2 * vals.size // G ** (axis + 1)
+    out = np.matmul(_diff_matrix(G),
+                    vals.view(float).reshape(G ** axis, G, rest))
     return out.view(complex).reshape(vals.shape)
 
 
@@ -371,8 +374,14 @@ def torsion_tensor(conn: Connection) -> np.ndarray:
     T = np.zeros((d, d) + conn.torus.grid_shape + (d,))
     for aa in range(d):
         for bb in range(d):
-            T[aa, bb] = conn.Gamma[aa][..., :, bb] - conn.Gamma[bb][..., :, aa]
+            T[aa, bb] = torsion_component(conn, aa, bb)
     return T
+
+
+def torsion_component(conn: Connection, a: int, b: int) -> np.ndarray:
+    """T[a, b] = Gamma_a e_b - Gamma_b e_a of torsion_tensor alone, grid +
+    (2n,), for a caller that needs one pair at a time."""
+    return conn.Gamma[a][..., :, b] - conn.Gamma[b][..., :, a]
 
 
 def dual_frame(torus: TorusModel, frame: np.ndarray) -> np.ndarray:
@@ -574,6 +583,61 @@ def lie_matrix_field(conn: Connection, basis: fk.FockBasis) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class DegreeReach:
+    """Where a fiber map sends degree windows, read once from its pattern.
+
+    The fiber basis is ordered by degree, so the positions of a run of Fock
+    degrees are one column slice, a window.  degrees[c] is the degree of
+    position c and starts[d] the first position of degree d (then F).
+    Columns of degree d are linked by the map's != 0 pattern to rows of
+    degrees low[d] .. high[d] at most, and to none when low[d] > high[d].
+    Clipped to the fiber by construction: no window passes degree 0 or the
+    top degree.  Plain tuples, since a window is looked up at every step
+    of every operator.
+    """
+
+    degrees: tuple  # (F,) int, ascending
+    starts: tuple   # (max degree + 2,) int
+    low: tuple      # (max degree + 1,) int
+    high: tuple     # (max degree + 1,) int
+
+    def field_window(self, vals: np.ndarray) -> slice:
+        """The window of the degrees where vals, (...,) + (F,), is non-zero
+        at some point; slice(0, 0) when it is zero everywhere."""
+        at = np.nonzero(vals.reshape(-1, vals.shape[-1]).T.any(axis=1))[0]
+        if not at.size:
+            return slice(0, 0)
+        return slice(self.starts[self.degrees[at[0]]],
+                     self.starts[self.degrees[at[-1]] + 1])
+
+    def window(self, cols: slice) -> slice:
+        """The window of the map applied to a field on the window cols."""
+        if cols.start == cols.stop:
+            return cols
+        d0, d1 = self.degrees[cols.start], self.degrees[cols.stop - 1] + 1
+        a, b = min(self.low[d0:d1]), max(self.high[d0:d1])
+        return slice(self.starts[a], self.starts[b + 1]) if a <= b \
+            else slice(0, 0)
+
+
+def degree_reach(degrees: np.ndarray, patterns: np.ndarray) -> list:
+    """The DegreeReach of each of a stack of (F, F) bool patterns, rows by
+    columns, for the ascending degrees of a fiber basis."""
+    starts = np.searchsorted(degrees, np.arange(degrees[-1] + 2))
+    # blocks[s, e, d]: a row of degree e is linked to a column of degree d
+    blocks = np.logical_or.reduceat(
+        np.logical_or.reduceat(patterns, starts[:-1], axis=-2), starts[:-1],
+        axis=-1)
+    D, linked = blocks.shape[-1], blocks.any(axis=-2)
+    low = np.where(linked, blocks.argmax(axis=-2), D)
+    high = np.where(linked, D - 1 - blocks[:, ::-1].argmax(axis=-2), -1)
+    degrees, starts = tuple(degrees.tolist()), tuple(starts.tolist())
+    return [DegreeReach(degrees=degrees, starts=starts, low=tuple(lo),
+                        high=tuple(hi))
+            for lo, hi in zip(low.tolist(), high.tolist())]
+
+
+@dataclass(frozen=True, eq=False)
 class FiberAction:
     """The fiber action of a connection as terms and in row-sparse storage.
 
@@ -582,32 +646,41 @@ class FiberAction:
     point and direction.  Row r of every fiber matrix may be non-zero only
     in the columns cols[r, :counts[r]], the union of the tensors' != 0
     patterns (ELL storage).  Slot 0 of every row is its diagonal, cols[:, 0]
-    = arange(F), with coefficient 0 where the pattern has no diagonal entry;
-    the off-diagonal columns follow in ascending order.  coef[b, k][..., r]
-    is the direction-b entry at (r, cols[r, k]) at every grid point; the
-    padded slots k >= counts[r] hold column 0 and coefficient 0.  An action
-    with no terms (a flat connection) has no slots at all, K = 0.
+    = arange(F), with a zero slot where the pattern has no diagonal entry;
+    the off-diagonal columns follow in ascending order.  slots[k, q, r] is
+    entry (r, cols[r, k]) of tensors[q], so the direction-b entry at (r,
+    cols[r, k]) is terms[b] @ slots[k][:, r] at every grid point; the padded
+    slots k >= counts[r] hold column 0 and 0.  An action with no terms (a
+    flat connection) has no slots at all, K = 0.  No coefficient field is
+    stored: each kernel call forms those of its degree window (see
+    cov_derivs), so a window is a contiguous grid + (w,) array.  reach maps
+    the window of a field to the window of its covariant derivatives, read
+    from the ELL columns and the diagonal, which d_b keeps.  tables holds
+    cov_derivs' slot tables for each input window it has met: index and
+    slot arrays of at most K (Q + 1) F entries each, no grid axis.
     """
 
     terms: np.ndarray    # (2n,) + grid + (Q,), complex
     tensors: np.ndarray  # (Q, F, F)
     cols: np.ndarray     # (F, K) int
     counts: np.ndarray   # (F,) int
-    coef: np.ndarray     # (2n, K) + grid + (F,), complex
+    slots: np.ndarray    # (K, Q, F), complex, so that no gemm casts
+    reach: DegreeReach
+    tables: dict = field(default_factory=dict, repr=False)
 
 
 def fiber_action(conn: Connection, basis: fk.FockBasis) -> FiberAction:
     """The fiber action of (a_b(x), Gamma_b(x)) as terms and row-sparse.
 
-    A unitary Gamma is projected to its j-linear part, so the action has no
-    degree +/-2 term.  Slot k of row r takes entry (r, cols[r, k]) of every
-    tensor, and the coefficient fields of all slots, the terms times those
-    entries, are one (points, Q) x (Q, K F) gemm: no grid + (F, F) array is
-    formed.
+    Gamma is split into its j-linear and j-antilinear parts once, here; a
+    unitary Gamma keeps only its j-linear part, so the action has no degree
+    +/-2 term.  Slot k of row r takes entry (r, cols[r, k]) of every tensor:
+    no grid + (F, F) array is formed.
     """
     m = conn.torus.model
-    X, T = mpc.lie_action_terms(m, basis, conn.a, sl.linear_part(m, conn.Gamma)
-                                if conn.unitary else conn.Gamma)
+    X, T = mpc.split_action_terms(
+        m, basis, conn.a, sl.linear_part(m, conn.Gamma),
+        None if conn.unitary else sl.antilinear_part(m, conn.Gamma))
     live = X.reshape(-1, X.shape[-1]).any(axis=0)
     X, T = X[..., live], T[live]
     eye = np.eye(T.shape[-1], dtype=bool)
@@ -619,65 +692,123 @@ def fiber_action(conn: Connection, basis: fk.FockBasis) -> FiberAction:
     cols = np.zeros(padded.shape, dtype=int)
     # row by row, as the slots: the diagonal first, then ascending
     cols[~padded] = c[np.lexsort((c, c != rows, rows))]
-    # slots[q, r, k]: entry (r, cols[r, k]) of tensor q, 0 where padded
+    # slots[k, q, r]: entry (r, cols[r, k]) of tensor q, 0 where padded
     slots = np.where(padded, 0.0, T[:, np.arange(len(cols))[:, None], cols])
-    Q, F, K = slots.shape
-    d, P = conn.torus.dim, math.prod(conn.torus.grid_shape)
-    coef = X.reshape(d * P, Q) @ slots.transpose(0, 2, 1).reshape(Q, K * F)
-    coef = np.ascontiguousarray(coef.reshape(d, P, K, F).transpose(0, 2, 1, 3))
+    pattern = np.eye(len(cols), dtype=bool)
+    pattern[rows, c] = True
     return FiberAction(terms=X, tensors=T, cols=cols, counts=counts,
-                       coef=coef.reshape((d, K) + X.shape[1:-1] + (F,)))
+                       slots=np.ascontiguousarray(slots.transpose(2, 0, 1),
+                                                  dtype=complex),
+                       reach=degree_reach(basis.degrees, pattern[None])[0])
 
 
 def cov_derivs(torus: TorusModel, action: FiberAction, vals: np.ndarray,
-               dirs) -> Iterator[np.ndarray]:
-    """nabla_b vals = d_b vals + A_b vals for each b in dirs, one at a time.
+               dirs, cols: slice) -> Iterator[np.ndarray]:
+    """nabla_b vals = d_b vals + A_b vals for each b in dirs, one at a time,
+    on a degree window.
 
-    vals has shape grid + (F,); A_b is direction b of the row-sparse fiber
-    action, applied as coef[b, 0] * vals on the diagonal slot plus
-    sum_{k >= 1} coef[b, k] * vals[..., cols[:, k]].  Several directions
-    share one gather of each of the K - 1 off-diagonal slots, held until the
-    last direction is made; one direction gathers a slot at a time.
-    Between two directions the generator holds nothing else.
+    vals, shape grid + (w,), holds the columns cols of a field that is zero
+    in every other column, and each nabla_b vals comes on the columns
+    nabla_window(action, cols) (w' of them): the kernel never touches a
+    column outside them, which are exactly 0.  vals is first widened with
+    zeros to those columns when the action reaches past cols.  A_b is
+    direction b of the row-sparse fiber action on the window's rows, applied
+    as coef[0] * vals on the diagonal slot plus sum_{k >= 1} coef[k] *
+    vals[..., cols[:, k]], where coef[k], grid + (w',), holds slot k's
+    coefficients: one (P, Q) @ (Q, w') gemm of terms[b] and the window's
+    slots per direction, with the slots that read a column outside cols set
+    to 0.  Several directions share one gather of each of the K - 1
+    off-diagonal slots, held until the last direction is made; one
+    direction gathers a slot at a time.  Between two directions the
+    generator holds nothing else.
     """
+    out, slots, at = _window_tables(action, cols)
     vals = np.asarray(vals, dtype=complex)
-    cols = action.cols[:, 1:].T
-    held = [np.take(vals, c, axis=-1) for c in cols] if len(dirs) > 1 else None
-    return (_cov_deriv(torus, action.coef[b], vals, b, cols, held)
+    if out != cols:
+        wide = np.zeros(vals.shape[:-1] + (out.stop - out.start,),
+                        dtype=complex)
+        wide[..., cols.start - out.start:cols.stop - out.start] = vals
+        vals = wide
+    held = [np.take(vals, c, axis=-1) for c in at] if len(dirs) > 1 else None
+    # (2n, points, Q), with the point count spelt out for Q = 0
+    terms = action.terms.reshape(len(action.terms),
+                                 math.prod(torus.grid_shape),
+                                 action.terms.shape[-1])
+    return (_cov_deriv(torus, terms[b], slots, vals, b, at, held)
             for b in dirs)
 
 
-def _cov_deriv(torus: TorusModel, coef: np.ndarray, vals: np.ndarray, b: int,
-               cols: np.ndarray, held: list | None) -> np.ndarray:
-    """nabla_b vals for cov_derivs, from direction b's slot coefficients.
+def nabla_window(action: FiberAction, cols: slice) -> slice:
+    """The window of nabla_b vals for vals on the window cols:
+    action.reach.window(cols), looked up in action.tables."""
+    return _window_tables(action, cols)[0]
 
-    One scratch field takes every product, and the off-diagonal slots come
-    from held, or are gathered into the scratch field when held is None.
+
+def _window_tables(action: FiberAction, cols: slice) -> tuple:
+    """(out, slots, at) of cov_derivs on the input window cols, made on the
+    first call for that window and kept in action.tables.
+
+    out is action.reach.window(cols); slots, (K, Q, w'), the slots of the
+    rows in out, 0 where a slot reads a column outside cols; and at,
+    (K - 1, w'), the off-diagonal columns read, counted from out.start.
+    """
+    key = (cols.start, cols.stop)
+    if key not in action.tables:
+        out = action.reach.window(cols)
+        reads = action.cols[out].T
+        inside = (reads >= cols.start) & (reads < cols.stop)
+        # a slot that reads outside cols has coefficient 0: any column will do
+        action.tables[key] = (
+            out, np.where(inside[:, None], action.slots[..., out], 0.0),
+            np.where(inside[1:], reads[1:] - out.start, 0))
+    return action.tables[key]
+
+
+def _cov_deriv(torus: TorusModel, terms: np.ndarray, slots: np.ndarray,
+               vals: np.ndarray, b: int, at: np.ndarray,
+               held: list | None) -> np.ndarray:
+    """nabla_b vals for cov_derivs, from direction b's terms, (points, Q),
+    and the window's slots.
+
+    Slot by slot, one (P, Q) @ (Q, w') gemm writes the slot's coefficient
+    field into one contiguous buffer, which then takes the product in place.
+    The off-diagonal slots come from held, or are gathered into one scratch
+    field when held is None.
     """
     out = partial_derivative(torus, vals, b)
-    scratch = np.empty_like(vals)
-    for k, c in enumerate(coef):
+    coef = np.empty_like(vals)
+    flat = coef.reshape(len(terms), vals.shape[-1])
+    scratch = np.empty_like(vals) if held is None and len(slots) > 1 else None
+    for k in range(len(slots)):
+        np.matmul(terms, slots[k], out=flat)
         if k == 0:
             term = vals
         elif held is None:
             # with the default mode="raise", np.take would gather into a
             # buffer of its own and copy that to out
-            term = np.take(vals, cols[k - 1], axis=-1, out=scratch,
-                           mode="wrap")
+            term = np.take(vals, at[k - 1], axis=-1, out=scratch, mode="wrap")
         else:
             term = held[k - 1]
-        out += np.multiply(c, term, out=scratch)
+        coef *= term
+        out += coef
     return out
 
 
 def cov_deriv_values(torus: TorusModel, action: FiberAction, vals: np.ndarray,
                      b: int) -> np.ndarray:
-    """nabla_b on raw spinor values: cov_derivs on the one direction b.
+    """nabla_b on raw spinor values, grid + (F,): cov_derivs on the one
+    direction b and the degree window vals occupies, with exact zeros in
+    every other column.
 
     Every spinor covariant derivative of the package goes through
     cov_derivs, whose several directions equal single ones bit for bit.
     """
-    return next(cov_derivs(torus, action, vals, (b,)))
+    vals = np.asarray(vals, dtype=complex)
+    cols = action.reach.field_window(vals)
+    out = np.zeros(vals.shape, dtype=complex)
+    out[..., nabla_window(action, cols)] = next(cov_derivs(
+        torus, action, np.ascontiguousarray(vals[..., cols]), (b,), cols))
+    return out
 
 
 def spinor_cov_deriv(conn: Connection, psi: SpinorField, b: int) -> SpinorField:

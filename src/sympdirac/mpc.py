@@ -182,15 +182,29 @@ def lie_action_terms(model: SymplecticModel, basis: fk.FockBasis,
     term.  X, shape S + (Q,), holds mu, H_kl, conj(W_kl) and W_kl, with H
     and W the complex matrices of eta and zeta.
     """
-    H = sl.complex_matrix(model, sl.linear_part(model, xi), check=False)
-    W = sl.antilinear_matrix(model, sl.antilinear_part(model, xi), check=False)
+    return split_action_terms(model, basis, mu, sl.linear_part(model, xi),
+                              sl.antilinear_part(model, xi))
+
+
+def split_action_terms(model: SymplecticModel, basis: fk.FockBasis,
+                       mu: complex | np.ndarray, eta: np.ndarray,
+                       zeta: np.ndarray | None) -> tuple:
+    """lie_action_terms of xi = eta + zeta, given as its j-split.
+
+    zeta is None when xi is j-linear: then no antilinear part is formed or
+    tested, and the terms are those of a zeta that is zero everywhere.
+    """
+    H = sl.complex_matrix(model, eta, check=False)
     shift, raise2, lower2 = fk.transfer_tensors(basis.n, basis.max_degree)
     S, F = H.shape[:-2], basis.dim
-    X = [np.broadcast_to(mu, S)[..., None], H, W.conj(), W]
-    T = [np.eye(F), -shift, raise2 / (4.0 * model.hbar), -model.hbar * lower2]
-    parts = 4 if np.abs(W).max() > 0 else 2
-    return (np.concatenate([x.reshape(S + (-1,)) for x in X[:parts]], axis=-1),
-            np.concatenate([t.reshape(-1, F, F) for t in T[:parts]]))
+    X = [np.broadcast_to(mu, S)[..., None], H]
+    T = [np.eye(F), -shift]
+    W = None if zeta is None else sl.antilinear_matrix(model, zeta, check=False)
+    if W is not None and np.abs(W).max() > 0:
+        X += [W.conj(), W]
+        T += [raise2 / (4.0 * model.hbar), -model.hbar * lower2]
+    return (np.concatenate([x.reshape(S + (-1,)) for x in X], axis=-1),
+            np.concatenate([t.reshape(-1, F, F) for t in T]))
 
 
 def lie_action(model: SymplecticModel, basis: fk.FockBasis,

@@ -310,8 +310,15 @@ def test_verify_config_errors(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["verify", "--suite", "cz"],
                                      ["spectrum", "--degrees", "0"]])
 @pytest.mark.parametrize("where", ["absent-dir/out", "."])
-def test_unwritable_out_path_exits_2(tmp_path, capsys, command, where):
-    # a missing directory, and a directory in the place of the file
+def test_unwritable_out_path_exits_2(tmp_path, capsys, monkeypatch, command,
+                                    where):
+    # a missing directory, and a directory in the place of the file; the
+    # path is refused before any check or eigensolve runs
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the --out path was refused")
+
+    monkeypatch.setattr(checks, "run_checks", never)
+    monkeypatch.setattr(dr, "spectrum", never)
     out = tmp_path / where
     assert cli.main(command + ["--out", str(out)]) == 2
     captured = capsys.readouterr()

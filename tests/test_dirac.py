@@ -566,15 +566,18 @@ def _ref_laplacian(ctx, vals):
     return out
 
 
-def _ref_curvature(ctx, psi, form):
-    # sum over all (l, s) of M[l, s] (R(e_l, e_s) - nabla_{T(e_l, e_s)})
+def _ref_prefactors(ctx, form):
     c = ctx.contract
     if form == "ca":
         C, A = c["Dp"], -c["Ds"]
-        M = -0.5 * (np.einsum("lFH,sHG->lsFG", C, A)
-                    - np.einsum("lFH,sHG->lsFG", A, C))
-    else:
-        M = -0.5j * np.einsum("lFH,sHG->lsFG", c["D"], c["Dt"])
+        return -0.5 * (np.einsum("lFH,sHG->lsFG", C, A)
+                       - np.einsum("lFH,sHG->lsFG", A, C))
+    return -0.5j * np.einsum("lFH,sHG->lsFG", c["D"], c["Dt"])
+
+
+def _ref_curvature(ctx, psi, form):
+    # sum over all (l, s) of M[l, s] (R(e_l, e_s) - nabla_{T(e_l, e_s)})
+    M = _ref_prefactors(ctx, form)
     T = ge.torsion_tensor(ctx.conn)
     out = 0.0
     for l, s in product(range(ctx.torus.dim), repeat=2):
@@ -616,11 +619,180 @@ def test_operators_match_einsum_reference(n, cutoff, kind):
     X = rng.normal(size=ctx.torus.dim)
     ref_cl = np.einsum("b,bFG,...G->...F", X, ctx.fiber["D"], v)
     # the pointwise Clifford product, as aj_tau forms it
-    cl = dr._along([dr._apply(S, v) for S in ctx.fiber["D"]], X)
+    full = slice(0, ctx.basis.dim)
+    cl = dr._along([dr._apply(S, v, full, full) for S in ctx.fiber["D"]], X)
     assert _rel_gap(cl, ref_cl) < 1e-12
     for field in (X, ctx.jtau):
         assert _rel_gap(dr.nabla_dir(ctx, psi, field).values,
                         _ref_along(ctx, v, field)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# degree windows: the kernels work on the Fock degrees a section occupies
+
+
+def _reach(ctx, mats, degrees):
+    """The Fock degrees that the fiber matrices mats, (..., F, F), can make
+    non-zero from a field on the given degrees, read from the dense != 0
+    pattern of all of them."""
+    F = ctx.basis.dim
+    pattern = (np.asarray(mats) != 0).reshape(-1, F, F).any(axis=0)
+    cols = np.isin(ctx.basis.degrees, sorted(degrees))
+    return set(ctx.basis.degrees[pattern[:, cols].any(axis=1)].tolist())
+
+
+def _nabla_reach(ctx, degrees):
+    # d_b keeps every degree; the dense fiber action adds its own pattern
+    return set(degrees) | _reach(ctx, _lie_mats(ctx), degrees)
+
+
+def _window_section(ctx, rng, degrees):
+    vals = random_psi(ctx, rng, cutoff=1).values
+    vals[..., ~np.isin(ctx.basis.degrees, sorted(degrees))] = 0.0
+    return ge.spinor_field(ctx.torus, ctx.basis, vals)
+
+
+def _assert_windowed(ctx, got, ref, degrees):
+    """got matches ref to 1e-12 relative, and is exactly 0 outside the hull
+    of the predicted degrees (all of got when none is predicted)."""
+    deg = ctx.basis.degrees
+    hull = (deg >= min(degrees)) & (deg <= max(degrees)) if degrees else \
+        np.zeros(len(deg), dtype=bool)
+    assert got.shape == np.shape(ref)
+    assert not got[..., ~hull].any()
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+WINDOW_SECTIONS = {"all": range(5), "middle": [2], "top": [4], "none": []}
+
+
+@pytest.mark.parametrize("section", list(WINDOW_SECTIONS))
+@pytest.mark.parametrize("n, kind", [(1, "unitary"), (2, "unitary"),
+                                     (1, "non-unitary"), (2, "non-unitary")])
+def test_operators_on_degree_windows(n, kind, section):
+    # every public grid operator on a section that occupies all degrees,
+    # the middle one, the top one or none (N = 4), against the full-width
+    # references, with exact zeros outside the degrees the patterns reach
+    ctx, rng = make_setup(n=n, cutoff=4 if n == 1 else 1, max_degree=4,
+                          kind=kind)
+    S = set(WINDOW_SECTIONS[section])
+    psi = _window_section(ctx, rng, S)
+    phi = random_psi(ctx, rng, cutoff=1)
+    v, c = psi.values, ctx.contract
+    nab = _nabla_reach(ctx, S)
+    ref_grads = np.stack([_ref_nabla(ctx, v, b) for b in range(ctx.torus.dim)])
+    _assert_windowed(ctx, dr.nabla_full(ctx, psi), ref_grads, nab)
+    for b in range(ctx.torus.dim):
+        _assert_windowed(ctx, ge.cov_deriv_values(ctx.torus, ctx.action, v, b),
+                         ref_grads[b], nab)
+        _assert_windowed(ctx, ge.spinor_cov_deriv(ctx.conn, psi, b).values,
+                         ref_grads[b], nab)
+    _assert_windowed(ctx, dr.nabla_dir(ctx, psi, ctx.jtau).values,
+                     _ref_along(ctx, v, ctx.jtau), nab)
+    first = {}
+    for name, op in (("D", dr.dirac_D), ("Dt", dr.dirac_Dtilde),
+                     ("Dp", dr.dirac_Dprime), ("Ds", dr.dirac_Dsecond)):
+        first[name] = _reach(ctx, c[name], nab)
+        _assert_windowed(ctx, op(ctx, psi).values,
+                         _ref_first_order(ctx, v, name), first[name])
+        framed = dr.dirac_via_frame(ctx, psi, np.eye(ctx.torus.dim), name)
+        _assert_windowed(ctx, framed.values, _ref_first_order(ctx, v, name),
+                         first[name])
+    ds, dp = (_ref_first_order(ctx, v, name) for name in ("Ds", "Dp"))
+    ref_p = 2.0 * (_ref_first_order(ctx, ds, "Dp")
+                   - _ref_first_order(ctx, dp, "Ds"))
+    p_reach = (_reach(ctx, c["Dp"], _nabla_reach(ctx, first["Ds"]))
+               | _reach(ctx, c["Ds"], _nabla_reach(ctx, first["Dp"])))
+    _assert_windowed(ctx, dr.P_op(ctx, psi).values, ref_p, p_reach)
+    second = _nabla_reach(ctx, nab)
+    ref_lap = _ref_laplacian(ctx, v)
+    _assert_windowed(ctx, dr.laplacian(ctx, psi).values, ref_lap, second)
+    _assert_windowed(ctx, dr.nabla_star(ctx, dr.nabla_full(ctx, psi)).values,
+                     ref_lap, second)
+    for form in ("ca", "clcl"):
+        M = _ref_prefactors(ctx, form)
+        _assert_windowed(ctx, dr.curvature_term(ctx, psi, form).values,
+                         _ref_curvature(ctx, psi, form),
+                         _reach(ctx, M - np.swapaxes(M, 0, 1), second))
+    R = (_ref_nabla(ctx, ref_grads[1], 0) - _ref_nabla(ctx, ref_grads[0], 1))
+    _assert_windowed(ctx, ge.spinor_curvature(ctx.conn, psi, 0, 1).values, R,
+                     second)
+    ref_aj = np.einsum("...b,bFG,...G->...F", -ctx.tau, ctx.fiber["Ds"], v)
+    _assert_windowed(ctx, dr.aj_tau(ctx, psi).values, ref_aj,
+                     _reach(ctx, ctx.fiber["Ds"], S))
+    w = fk.norm_weights(ctx.model, ctx.basis)
+    ref_inner = (2.0 * np.pi) ** ctx.torus.dim * np.einsum(
+        "...F,F,...F->...", v, w, phi.values.conj()).mean()
+    assert abs(dr.l2_inner(ctx, psi, phi) - ref_inner) <= 1e-12 * max(
+        1.0, abs(ref_inner))
+    adjoint = dr.adjoint_residual(ctx, psi, phi)
+    if not S:
+        assert dr.l2_norm(ctx, psi) == 0.0 and adjoint == 0.0
+    elif kind == "unitary":
+        assert adjoint < 1e-10
+    if kind != "unitary":
+        with pytest.raises(ValueError):
+            dr.weitzenbock_residual(ctx, psi)
+    elif not S:
+        assert dr.weitzenbock_residual(ctx, psi) == 0.0
+    elif max(S) <= ctx.basis.max_degree - 2:
+        for form in ("ca", "clcl"):
+            assert dr.weitzenbock_residual(ctx, psi, form) < 1e-10
+
+
+@pytest.mark.parametrize("n, kind", [(1, "unitary"), (2, "unitary"),
+                                     (2, "non-unitary")])
+def test_degree_reach_windows_are_tight(n, kind):
+    # every window the kernels use is the hull of the degrees the dense
+    # patterns reach, no wider, for each run of degrees d0 .. d1
+    ctx, _ = make_setup(n=n, cutoff=4 if n == 1 else 1, max_degree=4,
+                        kind=kind)
+    deg = ctx.basis.degrees
+
+    def cols_of(degrees):
+        if not degrees:
+            return slice(0, 0)
+        return slice(int(np.searchsorted(deg, min(degrees))),
+                     int(np.searchsorted(deg, max(degrees), side="right")))
+
+    maps = [(lambda c: ge.nabla_window(ctx.action, c),
+             lambda S: _nabla_reach(ctx, S)),
+            (ctx.reach["A"].window, lambda S: _reach(ctx, ctx.fiber["Ds"], S))]
+    for name, stack in ctx.contract.items():
+        maps.append((ctx.reach[name].window,
+                     lambda S, stack=stack: _reach(ctx, stack, S)))
+    for form in ("ca", "clcl"):
+        M = _ref_prefactors(ctx, form)
+        maps.append((ctx.curvature_reach[form].window,
+                     lambda S, A=M - np.swapaxes(M, 0, 1): _reach(ctx, A, S)))
+    for d0, d1 in product(range(5), repeat=2):
+        if d0 <= d1:
+            S = set(range(d0, d1 + 1))
+            for window, reach in maps:
+                assert window(cols_of(S)) == cols_of(reach(S)), (d0, d1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_non_unitary_nabla_reaches_two_degrees_each_way(n):
+    # negative control for the windows: a general connection's fiber action
+    # moves a degree-2 section to degrees 0 and 4 at O(1), so a window that
+    # kept degree 2 would lose those terms; the unitary action keeps it
+    for kind in ("non-unitary", "unitary"):
+        ctx, rng = make_setup(n=n, cutoff=4 if n == 1 else 1, max_degree=4,
+                              kind=kind)
+        psi = _window_section(ctx, rng, [2])
+        grads = dr.nabla_full(ctx, psi)
+        deg = ctx.basis.degrees
+        scale = np.abs(grads).max()
+        for d in (0, 4):
+            mass = np.abs(grads[..., deg == d]).max() / scale
+            if kind == "unitary":
+                assert mass == 0.0
+            else:
+                assert mass > 1e-2
+        ref = np.stack([_ref_nabla(ctx, psi.values, b)
+                        for b in range(ctx.torus.dim)])
+        assert _rel_gap(grads, ref) < 1e-12
 
 
 @pytest.mark.parametrize("n, kind, K", [(1, "flat", 0), (1, "unitary", 1),
@@ -680,7 +852,7 @@ def test_rows_without_a_diagonal_get_a_zero_slot_zero(n, unitary):
     assert np.array_equal(action.cols[:, 0], np.arange(F))
     diagonal = action.tensors[:, np.arange(F), np.arange(F)].any(axis=0)
     assert not diagonal.all() and (diagonal.any() == (n == 1))
-    assert not action.coef[:, 0][..., ~diagonal].any()
+    assert not action.slots[0][:, ~diagonal].any()
     mats = ge.lie_matrix_field(ctx.conn, ctx.basis)
     vals = random_psi(ctx, np.random.default_rng(RNG_SEED), cutoff=1).values
     for b in range(ctx.torus.dim):
@@ -698,7 +870,8 @@ def test_several_directions_equal_single_ones_bit_for_bit(n, kind):
     vals = random_psi(ctx, rng, cutoff=1).values
     dims = ctx.torus.dim
     for dirs in (range(dims), (dims - 1, 0), (1,)):
-        got = list(ge.cov_derivs(ctx.torus, ctx.action, vals, dirs))
+        got = list(ge.cov_derivs(ctx.torus, ctx.action, vals, dirs,
+                                 slice(0, ctx.basis.dim)))
         assert len(got) == len(dirs)
         for b, grad in zip(dirs, got):
             assert np.array_equal(
@@ -723,7 +896,7 @@ def test_each_field_gathers_its_off_diagonal_slots_once(monkeypatch):
     grads = dr.nabla_full(ctx, psi)
     assert len(calls) == 2
     calls.clear()
-    list(dr._derivs(ctx, psi.values))
+    list(dr._derivs(ctx, *dr._on_window(ctx, psi))[1])
     assert len(calls) == 2
     calls.clear()
     # P: nabla psi, then D' of D'' psi and D'' of D' psi, three fields
@@ -797,11 +970,39 @@ def test_unitary_fiber_action_terms_keep_degree(n):
         assert all(kept) == (kind == "unitary")
 
 
+@pytest.mark.parametrize("n, kind", [(1, "unitary"), (2, "unitary"),
+                                     (2, "general")])
+def test_fiber_action_splits_gamma_once(monkeypatch, n, kind):
+    # the terms are those of lie_action_terms on the projected Gamma, bit
+    # for bit, from one j-linear part and, for a general connection only,
+    # one j-antilinear part of Gamma
+    ctx, _ = make_setup(n=n, cutoff=4 if n == 1 else 1, max_degree=4,
+                        kind=kind)
+    conn, m = ctx.conn, ctx.model
+    X, T = mpc.lie_action_terms(m, ctx.basis, conn.a,
+                                sl.linear_part(m, conn.Gamma)
+                                if conn.unitary else conn.Gamma)
+    live = X.reshape(-1, X.shape[-1]).any(axis=0)
+    calls = []
+    for name in ("linear_part", "antilinear_part"):
+        def counting(*args, _name=name, _fn=getattr(sl, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(sl, name, counting)
+    action = ge.fiber_action(conn, ctx.basis)
+    assert sorted(calls) == (["linear_part"] if kind == "unitary"
+                             else ["antilinear_part", "linear_part"])
+    assert np.array_equal(action.terms, X[..., live])
+    assert np.array_equal(action.tensors, T[live])
+
+
 def test_context_stores_the_fiber_action_row_sparse():
     # the benchmark's fields size: the dense (2n,) + grid + (F, F) matrices
-    # take 33 MiB, the row-sparse action (K = 3) 6.6 MiB beside 0.7 MiB of
-    # terms; make_context forms the slots from the terms in one gemm and
-    # never a dense direction (8.2 MiB)
+    # take 33 MiB and the coefficient fields of the K = 3 slots 6.6 MiB;
+    # the context keeps neither, only the 0.7 MiB of terms and constant
+    # slots (1.0 MiB in all, peak 2.7 MiB), and never forms a dense
+    # direction (8.2 MiB)
     t = ge.torus_model(sl.standard_model(2, hbar=0.7), 2)
     basis = fk.fock_basis(2, 4)
     conn = ge.random_connection(t, np.random.default_rng(RNG_SEED), cutoff=1,
@@ -813,8 +1014,8 @@ def test_context_stores_the_fiber_action_row_sparse():
     finally:
         tracemalloc.stop()
     assert t.grid_shape == (7,) * 4 and ctx.basis.dim == 15
-    assert stored <= 8 * 2 ** 20
-    assert peak < 16 * 2 ** 20
+    assert stored <= 2 * 2 ** 20
+    assert peak < 4 * 2 ** 20
 
 
 def test_operators_share_the_first_derivatives(monkeypatch):

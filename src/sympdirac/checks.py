@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -33,6 +34,17 @@ class RunSetup:
     tolerances: dict
     suites: tuple
 
+    # the dirac checks share one context per connection and run
+    @cached_property
+    def context(self) -> dr.DiracContext:
+        """The Dirac context of the config connection, made on first use."""
+        return dr.make_context(self.conn, self.basis)
+
+    @cached_property
+    def flat_context(self) -> dr.DiracContext:
+        """The Dirac context of the flat connection, made on first use."""
+        return dr.make_context(ge.flat_connection(self.torus), self.basis)
+
 
 def _unitary_connection(setup: RunSetup, rng: np.random.Generator,
                         torsionful: bool = False) -> ge.Connection:
@@ -42,6 +54,15 @@ def _unitary_connection(setup: RunSetup, rng: np.random.Generator,
         if not torsionful or np.abs(ge.tau_field(conn)).max() > 1e-6:
             return conn
     return ge.random_connection(setup.torus, rng, cutoff=1, unitary=True)
+
+
+def _unitary_context(setup: RunSetup, rng: np.random.Generator,
+                     torsionful: bool = False) -> dr.DiracContext:
+    """The Dirac context of _unitary_connection: setup.context when that
+    is the config connection."""
+    conn = _unitary_connection(setup, rng, torsionful)
+    return setup.context if conn is setup.conn else dr.make_context(
+        conn, setup.basis)
 
 
 def _max_abs(x):
@@ -296,49 +317,45 @@ def _check_central_factor(setup, rng):
 
 
 def _check_flat_eigenvalue(setup, rng):
-    ctx = dr.make_context(ge.flat_connection(setup.torus), setup.basis)
-    x = ge.grid_points(setup.torus)
-    N = setup.basis.max_degree
-    keep = setup.basis.degrees <= N - 1
-    for _ in range(4):
-        kvec = rng.integers(-setup.torus.cutoff, setup.torus.cutoff + 1,
-                            size=setup.torus.dim)
-        lam = -float(kvec @ ctx.ginv @ kvec) / setup.model.hbar
-        wave = np.exp(1j * (x @ kvec.astype(float)))
-        for fi in np.nonzero(keep)[0]:
-            vals = np.zeros(setup.torus.grid_shape + (setup.basis.dim,),
-                            dtype=complex)
-            vals[..., fi] = wave
-            psi = ge.spinor_field(setup.torus, setup.basis, vals)
-            yield np.abs(dr.P_op(ctx, psi).values - lam * psi.values).max()
+    ctx = setup.flat_context
+    torus, basis = setup.torus, setup.basis
+    x = ge.grid_points(torus)
+    kvecs = [rng.integers(-torus.cutoff, torus.cutoff + 1, size=torus.dim)
+             for _ in range(4)]
+    waves = np.stack([np.exp(1j * (x @ k.astype(float))) for k in kvecs])
+    lam = np.array([-float(k @ ctx.ginv @ k) / setup.model.hbar
+                    for k in kvecs]).reshape((-1,) + (1,) * waves.ndim)
+    # one batch of the four waves per fiber column: its window is that column
+    for fi in np.nonzero(basis.degrees <= basis.max_degree - 1)[0]:
+        vals = np.zeros(waves.shape + (basis.dim,), dtype=complex)
+        vals[..., fi] = waves
+        gap = dr.P_op(ctx, ge.spinor_field(torus, basis, vals)).values
+        gap -= lam * vals
+        yield from np.abs(gap).max(axis=tuple(range(1, gap.ndim)))
 
 
 def _check_first_order_adjoint(setup, rng):
-    conn = _unitary_connection(setup, rng, torsionful=True)
-    ctx = dr.make_context(conn, setup.basis)
-    for _ in range(5):
-        psi = ge.random_spinor_field(setup.torus, setup.basis, rng, cutoff=2)
-        phi = ge.random_spinor_field(setup.torus, setup.basis, rng, cutoff=2)
-        # relative to the Cauchy-Schwarz bound on |<D' psi, phi>|; the fiber
-        # weights, and with them the absolute gap, grow as (2 hbar)^degree
-        bound = (dr.l2_norm(ctx, dr.dirac_Dprime(ctx, psi))
-                 * dr.l2_norm(ctx, phi))
-        yield dr.adjoint_residual(ctx, psi, phi) / bound
+    ctx = _unitary_context(setup, rng, torsionful=True)
+    # five trials of (psi, phi) as one batch, drawn as ten single fields
+    fields = ge.random_spinor_field(setup.torus, setup.basis, rng, cutoff=2,
+                                    shape=(5, 2)).values
+    psi, phi = (ge.spinor_field(setup.torus, setup.basis, fields[:, i])
+                for i in (0, 1))
+    # relative to the Cauchy-Schwarz bound on |<D' psi, phi>|; the fiber
+    # weights, and with them the absolute gap, grow as (2 hbar)^degree
+    yield from dr.adjoint_residual(ctx, psi, phi, relative=True)
 
 
 def _check_weitzenbock(setup, rng):
-    conn = _unitary_connection(setup, rng)
-    ctx = dr.make_context(conn, setup.basis)
+    ctx = _unitary_context(setup, rng)
     N = setup.basis.max_degree
-    for _ in range(3):
-        psi = ge.random_spinor_field(setup.torus, setup.basis, rng,
-                                     cutoff=1, max_degree=N - 2)
-        yield dr.weitzenbock_residual(ctx, psi, form="ca")
+    psi = ge.random_spinor_field(setup.torus, setup.basis, rng, cutoff=1,
+                                 max_degree=N - 2, shape=(3,))
+    yield from dr.weitzenbock_residual(ctx, psi, form="ca")
 
 
 def _check_weitzenbock_forms(setup, rng):
-    conn = _unitary_connection(setup, rng)
-    ctx = dr.make_context(conn, setup.basis)
+    ctx = _unitary_context(setup, rng)
     N = setup.basis.max_degree
     psi = ge.random_spinor_field(setup.torus, setup.basis, rng,
                                  cutoff=1, max_degree=N - 2)
@@ -352,7 +369,7 @@ def _check_weitzenbock_forms(setup, rng):
 def _check_flat_spectrum(setup, rng):
     from itertools import product as iproduct
 
-    ctx = dr.make_context(ge.flat_connection(setup.torus), setup.basis)
+    ctx = setup.flat_context
     hbar = setup.model.hbar
     M = setup.torus.cutoff
     want = sorted(

@@ -108,16 +108,23 @@ class DiracContext:
         return table.reshape(len(stacked), -1), where.reshape(3, F, F)
 
     @cached_property
-    def curvature_reach(self) -> dict:
-        """form -> ge.DegreeReach of the antisymmetrised curvature
-        prefactors M[l, s] - M[s, l] of that form, made on first use."""
-        forms = ("ca", "clcl")
-        patterns = []
-        for form in forms:
+    def curvature_diffs(self) -> dict:
+        """form -> the antisymmetrised curvature prefactors M[l, s] - M[s, l]
+        of that form, (2n, 2n, F, F), made on first use."""
+        diffs = {}
+        for form in ("ca", "clcl"):
             M = _curvature_prefactors(self, form)
-            patterns.append((M != np.swapaxes(M, 0, 1)).any(axis=(0, 1)))
-        return dict(zip(forms, ge.degree_reach(self.basis.degrees,
-                                               np.stack(patterns))))
+            diffs[form] = M - np.swapaxes(M, 0, 1)
+        return diffs
+
+    @cached_property
+    def curvature_reach(self) -> dict:
+        """form -> ge.DegreeReach of curvature_diffs[form], made on first
+        use."""
+        patterns = [(M != 0).any(axis=(0, 1))
+                    for M in self.curvature_diffs.values()]
+        return dict(zip(self.curvature_diffs, ge.degree_reach(
+            self.basis.degrees, np.stack(patterns))))
 
     @cached_property
     def _pattern(self) -> tuple:
@@ -214,18 +221,23 @@ def make_context(conn: Connection, basis: fk.FockBasis) -> DiracContext:
 # occupies are one column slice of its grid + (F,) values: its window.
 # Each public operator finds the window of its input, and every kernel
 # below takes a windowed field as the pair (cols, vals), vals of shape
-# grid + (w,) holding the columns cols, and returns the pair of its result.
-# The window of a result is read from the non-zero patterns of what acts,
-# clipped to the fiber: ge.nabla_window for the covariant derivative,
-# ctx.reach for the contract stacks and A, ctx.curvature_reach for the
-# curvature prefactors; the full fiber is the widest window.  A constant
-# fiber matrix acts on a whole grid as one matmul, and each operator
-# computes the first covariant derivatives of its input once, sharing them
-# between every term that needs them.
+# batch + grid + (w,) holding the columns cols, and returns the pair of its
+# result.  The batch axes lead and may be none: a single field is the empty
+# batch, on the same code.  A batch runs on the union of its members'
+# windows, one column slice, and each member comes out bit for bit as its
+# single call: the extra columns are exact zeros.  The window of a result
+# is read from the non-zero patterns of what acts, clipped to the fiber:
+# ge.nabla_window for the covariant derivative, ctx.reach for the contract
+# stacks and A, ctx.curvature_reach for the curvature prefactors; the full
+# fiber is the widest window.  A constant fiber matrix acts on a whole
+# batch as one matmul whose points axis, batch included, leads, and each
+# operator computes the first covariant derivatives of its input once,
+# sharing them between every term that needs them.
 
 
 def _on_window(ctx: DiracContext, psi: SpinorField) -> tuple:
-    """psi as a windowed field: the columns of the degrees it occupies."""
+    """psi as a windowed field: the columns of the degrees it occupies, for
+    a batch the degrees some member occupies."""
     vals = ge.spinor_values(psi, ctx.torus, ctx.basis)
     cols = ctx.action.reach.field_window(vals)
     return cols, np.ascontiguousarray(vals[..., cols], dtype=complex)
@@ -268,9 +280,10 @@ def _add(a: tuple, b: tuple, sign: float = 1.0) -> tuple:
 def _apply(S: np.ndarray, vals: np.ndarray, cols: slice,
            out: slice) -> np.ndarray:
     """The constant fiber matrix S, or each of a stack of them, at every
-    point of a field on the window cols, kept on the window out, which
-    must hold the window of S applied to cols: one (points, w) @ (w, w')
-    gemm.  A stack gives a stack of fields."""
+    point of a field (or batch) on the window cols, kept on the window out,
+    which must hold the window of S applied to cols: one (points, w) @
+    (w, w') gemm, the batch merged into the points.  A stack gives a stack
+    of fields."""
     sub = S[..., out, cols].swapaxes(-1, -2)
     points = vals.shape[:-1]
     flat = vals.reshape(math.prod(points), cols.stop - cols.start)
@@ -331,16 +344,29 @@ def _wrap(ctx: DiracContext, cols: slice, vals: np.ndarray) -> SpinorField:
 
 
 def _along(stack: np.ndarray, X) -> np.ndarray:
-    """sum_b X^b stack[b] for a (2n,) + grid + (w,) stack and a vector (field)
-    X, as one batched (1, 2n) @ (2n, w) product per grid point; on the stack
-    of nabla_full this is nabla_X psi."""
-    stack = np.asarray(stack)
-    X = np.asarray(X, dtype=stack.dtype)
-    return (X[..., None, :] @ np.moveaxis(stack, 0, -2))[..., 0, :]
+    """sum_b X^b stack[b] for a (2n,) + batch + grid + (w,) stack and a
+    vector X, constant (2n,) or a field grid + (2n,) that every member
+    shares; on the stack of nabla_full this is nabla_X psi.
+
+    A real X, as every caller's is, is one real contraction over b on the
+    float view of the stack; a complex X is X.real + i X.imag, two of them.
+    """
+    X = np.asarray(X)
+    if np.iscomplexobj(X):
+        return _along(stack, X.real) + 1j * _along(stack, X.imag)
+    stack = np.ascontiguousarray(stack, dtype=complex)
+    d = len(stack)
+    # X as (2n, p): p grid points, or one point shared by every point
+    X = X.reshape(-1, d).T
+    m = math.prod(stack.shape[1:-1]) // X.shape[1]
+    flat = stack.view(float).reshape(d, m, X.shape[1], 2 * stack.shape[-1])
+    out = np.einsum("bp,bmpw->mpw", X, flat)
+    return out.view(complex).reshape(stack.shape[1:])
 
 
 def nabla_dir(ctx: DiracContext, psi: SpinorField, X: np.ndarray) -> SpinorField:
-    """nabla_X psi for a constant vector or vector field X."""
+    """nabla_X psi for a constant vector or vector field X (grid + (2n,)),
+    the same X for every member of a batch."""
     cols, grads = _nabla_stack(ctx, *_on_window(ctx, psi))
     return _wrap(ctx, cols, _along(grads, X))
 
@@ -372,7 +398,8 @@ def dirac_via_frame(ctx: DiracContext, psi: SpinorField, frame: np.ndarray,
     """Evaluate D/Dt/D'/D'' through an explicit (possibly varying) frame.
 
     frame holds the vectors e_i as columns, constant (2n, 2n) or a field
-    grid + (2n, 2n); the symplectically dual frame weights the derivative.
+    grid + (2n, 2n) that every member of a batch shares; the symplectically
+    dual frame weights the derivative.
     """
     dual = ge.dual_frame(ctx.torus, frame)
     # nabla_{e^i} psi for each dual frame vector, then the fiber stack at e_i
@@ -386,50 +413,56 @@ def dirac_via_frame(ctx: DiracContext, psi: SpinorField, frame: np.ndarray,
 # inner products and adjoints
 
 
-def _l2(ctx: DiracContext, a: tuple, b: tuple) -> complex:
-    """l2_inner of two windowed fields, summed over the columns they share."""
+def _l2(ctx: DiracContext, a: tuple, b: tuple):
+    """l2_inner of two windowed fields, summed over the columns they share:
+    one value per member of their (broadcast) batch shape, a complex scalar
+    for single fields.  Windows that share no column give zeros."""
     (ca, va), (cb, vb) = a, b
-    cols = slice(max(ca.start, cb.start), min(ca.stop, cb.stop))
-    if cols.start >= cols.stop:
-        return 0j
+    start = max(ca.start, cb.start)
+    cols = slice(start, max(start, min(ca.stop, cb.stop)))
     w = ctx.weights[cols]
     v1 = va[..., cols.start - ca.start:cols.stop - ca.start]
     v2 = vb[..., cols.start - cb.start:cols.stop - cb.start]
     dens = np.einsum("...F,F,...F->...", v1, w, v2.conj())
-    return complex((2.0 * np.pi) ** ctx.torus.dim * dens.mean())
+    grid = tuple(range(-ctx.torus.dim, 0))
+    return (2.0 * np.pi) ** ctx.torus.dim * dens.mean(axis=grid)
 
 
-def l2_inner(ctx: DiracContext, psi1: SpinorField, psi2: SpinorField) -> complex:
+def l2_inner(ctx: DiracContext, psi1: SpinorField, psi2: SpinorField):
     """Integral of the fiber pairing against the Liouville volume.
 
     Linear in the first argument; exact for band-limited integrands since
     the uniform grid mean integrates trig polynomials below the grid size.
-    Both fields are taken at full width, the widest window: finding their
-    windows would cost as much as the sum.
+    One value per member of a batch (the two batch shapes broadcast), a
+    complex scalar for single fields.  Both fields are taken at full width,
+    the widest window: finding their windows would cost as much as the sum.
     """
     full = slice(0, ctx.basis.dim)
     v1, v2 = (ge.spinor_values(p, ctx.torus, ctx.basis) for p in (psi1, psi2))
     return _l2(ctx, (full, v1), (full, v2))
 
 
-def l2_norm(ctx: DiracContext, psi: SpinorField) -> float:
-    return float(np.sqrt(max(l2_inner(ctx, psi, psi).real, 0.0)))
+def l2_norm(ctx: DiracContext, psi: SpinorField):
+    """sqrt of l2_inner(psi, psi), one value per member of a batch."""
+    return np.sqrt(np.maximum(l2_inner(ctx, psi, psi).real, 0.0))
 
 
-def _norm(ctx: DiracContext, a: tuple) -> float:
-    return float(np.sqrt(max(_l2(ctx, a, a).real, 0.0)))
+def _norm(ctx: DiracContext, a: tuple):
+    return np.sqrt(np.maximum(_l2(ctx, a, a).real, 0.0))
 
 
-def oneform_inner(ctx: DiracContext, beta1: np.ndarray,
-                  beta2: np.ndarray) -> complex:
-    """Inner product of spinor-valued 1-forms, sum g^{ab} <beta_a, beta'_b>."""
+def oneform_inner(ctx: DiracContext, beta1: np.ndarray, beta2: np.ndarray):
+    """Inner product of spinor-valued 1-forms, sum g^{ab} <beta_a, beta'_b>,
+    each (2n,) + batch + grid + (F,): one value per member of a batch."""
     dens = np.einsum("ab,a...F,F,b...F->...", ctx.ginv, beta1, ctx.weights,
                      beta2.conj())
-    return complex((2.0 * np.pi) ** ctx.torus.dim * dens.mean())
+    grid = tuple(range(-ctx.torus.dim, 0))
+    return (2.0 * np.pi) ** ctx.torus.dim * dens.mean(axis=grid)
 
 
 def _nabla_stack(ctx: DiracContext, cols: slice, vals: np.ndarray) -> tuple:
-    """All covariant derivatives of a windowed field, (2n,) + grid + (w',)."""
+    """All covariant derivatives of a windowed field, (2n,) + batch + grid +
+    (w',)."""
     out_cols, derivs = _derivs(ctx, cols, vals)
     w = out_cols.stop - out_cols.start
     out = np.empty((ctx.torus.dim,) + vals.shape[:-1] + (w,), dtype=complex)
@@ -441,7 +474,8 @@ def _nabla_stack(ctx: DiracContext, cols: slice, vals: np.ndarray) -> tuple:
 
 
 def nabla_full(ctx: DiracContext, psi: SpinorField) -> np.ndarray:
-    """All covariant derivatives, shape (2n,) + grid + (F,)."""
+    """All covariant derivatives, shape (2n,) + batch + grid + (F,): the
+    direction axis leads the field's own shape."""
     return _full(ctx, *_nabla_stack(ctx, *_on_window(ctx, psi)))
 
 
@@ -457,16 +491,27 @@ def aj_tau(ctx: DiracContext, psi: SpinorField) -> SpinorField:
 
 
 def adjoint_residual(ctx: DiracContext, psi1: SpinorField,
-                     psi2: SpinorField) -> float:
-    """|<D' psi1, psi2> - <psi1, (D'' + A(tau)) psi2>|."""
+                     psi2: SpinorField, relative: bool = False):
+    """|<D' psi1, psi2> - <psi1, (D'' + A(tau)) psi2>|, one per member of a
+    batch (the two batch shapes broadcast).
+
+    relative divides each by the Cauchy-Schwarz bound ||D' psi1|| ||psi2||
+    on |<D' psi1, psi2>|, from the same D' psi1; a zero bound keeps the
+    gap, 0.
+    """
     a, b = _on_window(ctx, psi1), _on_window(ctx, psi2)
-    lhs = _l2(ctx, _dirac_vals(ctx, *a, "Dp"), b)
+    dp = _dirac_vals(ctx, *a, "Dp")
     rhs = _add(_dirac_vals(ctx, *b, "Ds"), _aj_tau(ctx, *b))
-    return abs(lhs - _l2(ctx, a, rhs))
+    gap = np.abs(_l2(ctx, dp, b) - _l2(ctx, a, rhs))
+    if not relative:
+        return gap
+    bound = _norm(ctx, dp) * _norm(ctx, b)
+    return gap / np.where(bound > 0, bound, 1.0)
 
 
 def _nabla_star(ctx: DiracContext, cols: slice, beta: np.ndarray) -> tuple:
-    """nabla_star of a windowed 1-form, beta of shape (2n,) + grid + (w,)."""
+    """nabla_star of a windowed 1-form, beta of shape (2n,) + batch + grid +
+    (w,)."""
     Gamma = ctx.conn.Gamma
     out_cols = ge.nabla_window(ctx.action, cols)
     at = slice(cols.start - out_cols.start, cols.stop - out_cols.start)
@@ -485,7 +530,8 @@ def nabla_star(ctx: DiracContext, beta: np.ndarray) -> SpinorField:
 
     nabla* beta = -sum g^{ab} (nabla_a beta)(e_b) + beta(J tau), where
     (nabla_a beta)(e_b) = nabla_a(beta_b) - beta(Gamma_a e_b) on the
-    coordinate frame.  Adjoint to nabla_full for unitary connections.
+    coordinate frame.  Adjoint to nabla_full for unitary connections.  beta
+    has the shape (2n,) + batch + grid + (F,) of nabla_full.
     """
     beta = np.asarray(beta, dtype=complex)
     cols = ctx.action.reach.field_window(beta)
@@ -532,11 +578,13 @@ def _curvature_vals(ctx: DiracContext, cols: slice, grads: np.ndarray,
     cols; the second derivatives come on ge.nabla_window(ctx.action, cols).
 
     R and T are antisymmetric in (l, s), so one pass over l < s applies
-    M[l, s] - M[s, l], and its window is read from those differences: the
-    degree +/-2 blocks of the 'clcl' prefactors cancel in them exactly.
+    M[l, s] - M[s, l], kept in ctx.curvature_diffs, and its window is read
+    from those differences: the degree +/-2 blocks of the 'clcl' prefactors
+    cancel in them exactly.
     """
-    M = _curvature_prefactors(ctx, form)
-    M = M - np.swapaxes(M, 0, 1)
+    if form not in ctx.curvature_diffs:
+        raise ValueError("form must be 'ca' or 'clcl'")
+    M = ctx.curvature_diffs[form]
     inner = ge.nabla_window(ctx.action, cols)
     at = slice(cols.start - inner.start, cols.stop - inner.start)
     out_cols = ctx.curvature_reach[form].window(inner)
@@ -574,7 +622,8 @@ def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
 
     assembled from the independently implemented Laplacian, curvature and
     torsion, which share one nabla_full of psi, all on the degree window
-    of psi; reliable for sections of degree <= max_degree - 2.
+    of psi; reliable for sections of degree <= max_degree - 2.  One value
+    per member of a batch; a zero section gives its absolute defect, 0.
     """
     if not ctx.conn.unitary:
         raise ValueError("the curvature identity requires a unitary connection")
@@ -596,7 +645,7 @@ def weitzenbock_residual(ctx: DiracContext, psi: SpinorField,
     comm = _p_vals(ctx, *first)
     comm[1][...] *= 0.5
     num = _norm(ctx, _add(comm, rhs, -1.0))
-    return num / den if den > 0 else num
+    return num / np.where(den > 0, den, 1.0)
 
 
 # ---------------------------------------------------------------------------

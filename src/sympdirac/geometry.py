@@ -112,20 +112,23 @@ def _diff_matrix(grid_size: int) -> np.ndarray:
 
 
 def partial_derivative(torus: TorusModel, field: np.ndarray,
-                       axis: int) -> np.ndarray:
+                       axis: int, batch: int = 0) -> np.ndarray:
     """Spectral d/dx_axis; axis counts base axes (0 .. 2n-1).
 
     Exact whenever the field is band-limited below the Nyquist index along
-    that axis; component axes trailing the base axes pass through.  The
-    real differentiation matrix acts on the real and imaginary parts of a
-    complex copy at once, so the result is complex.
+    that axis.  The field's first `batch` axes are batch axes ahead of the
+    base axes, and component axes trailing the base axes pass through.  The
+    real differentiation matrix acts on the real and imaginary parts of
+    a complex copy at once, so the result is complex.  Every slice ahead of
+    the axis is one (G, G) @ (G, rest) product of the same shape, so a
+    batch equals its single fields bit for bit.
     """
     G = torus.grid_size
     vals = np.ascontiguousarray(field, dtype=complex)
-    # the trailing length spelt out, so that an empty field reshapes too
-    rest = 2 * vals.size // G ** (axis + 1)
-    out = np.matmul(_diff_matrix(G),
-                    vals.view(float).reshape(G ** axis, G, rest))
+    at = batch + axis
+    # both lengths from the shape, so that an empty field reshapes too
+    out = np.matmul(_diff_matrix(G), vals.view(float).reshape(
+        math.prod(vals.shape[:at]), G, 2 * math.prod(vals.shape[at + 1:])))
     return out.view(complex).reshape(vals.shape)
 
 
@@ -523,7 +526,11 @@ def eta_curvature(conn: Connection) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpinorField:
-    """Grid of truncated Fock coefficients, shape grid + (fiber dim,)."""
+    """Grid of truncated Fock coefficients, shape batch + grid + (fiber dim,).
+
+    The batch axes lead and may be none: a single field has the empty batch
+    shape.  Every operator maps each member as its single call would.
+    """
 
     torus: TorusModel
     basis: fk.FockBasis
@@ -536,7 +543,8 @@ def spinor_values(psi: SpinorField, torus: TorusModel,
 
     Every operator reads its input fields through here.  Models are
     compared by value, so an equal torus built separately is accepted.  The
-    values must have shape grid + (F,): the operators take no batch axis.
+    values must have shape batch + grid + (F,), with any number of leading
+    batch axes (none for a single field).
     """
     t = psi.torus
     if (t.model.n, t.model.hbar, t.cutoff, t.grid_size) != (
@@ -545,30 +553,42 @@ def spinor_values(psi: SpinorField, torus: TorusModel,
     if (psi.basis.n, psi.basis.max_degree) != (basis.n, basis.max_degree):
         raise ValueError("spinor field uses another fiber basis")
     want = torus.grid_shape + (basis.dim,)
-    if np.shape(psi.values) != want:
-        raise ValueError(f"spinor values have shape {np.shape(psi.values)},"
-                         f" not grid + (F,) = {want}")
+    shape = np.shape(psi.values)
+    if shape[max(len(shape) - len(want), 0):] != want:
+        raise ValueError(f"spinor values have shape {shape}, not batch +"
+                         f" grid + (F,) with grid + (F,) = {want}")
     return psi.values
 
 
 def spinor_field(torus: TorusModel, basis: fk.FockBasis,
                  values: np.ndarray) -> SpinorField:
-    values = np.asarray(values, dtype=complex)
-    if values.shape != torus.grid_shape + (basis.dim,):
-        raise ValueError("spinor values have wrong shape")
-    return SpinorField(torus=torus, basis=basis, values=values)
+    """A field of the values, batch + grid + (F,), as spinor_values takes
+    them."""
+    psi = SpinorField(torus=torus, basis=basis,
+                      values=np.asarray(values, dtype=complex))
+    spinor_values(psi, torus, basis)
+    return psi
 
 
 def random_spinor_field(torus: TorusModel, basis: fk.FockBasis,
                         rng: np.random.Generator, cutoff: int | None = None,
-                        max_degree: int | None = None) -> SpinorField:
-    """Random band-limited spinor; optionally restricted in Fock degree."""
-    vals = np.zeros(torus.grid_shape + (basis.dim,), dtype=complex)
+                        max_degree: int | None = None,
+                        shape: tuple = ()) -> SpinorField:
+    """Random band-limited spinor; optionally restricted in Fock degree.
+
+    A batch of the given shape (leading axes) makes consecutive single draws
+    in C order and equals consecutive single calls bit for bit.
+    """
+    shape = tuple(shape)
+    vals = np.zeros(shape + torus.grid_shape + (basis.dim,), dtype=complex)
     keep = (basis.degrees <= max_degree) if max_degree is not None \
         else np.ones(basis.dim, dtype=bool)
     idx = np.nonzero(keep)[0]
-    parts = random_scalar_field(torus, rng, cutoff, shape=(len(idx), 2))
-    vals[..., idx] = np.moveaxis(parts[:, 0] + 1j * parts[:, 1], 0, -1)
+    parts = random_scalar_field(torus, rng, cutoff,
+                                shape=shape + (len(idx), 2))
+    # shape + (columns, re/im) + grid -> shape + grid + (columns, re/im)
+    parts = np.moveaxis(parts, (len(shape), len(shape) + 1), (-2, -1))
+    vals[..., idx] = parts[..., 0] + 1j * parts[..., 1]
     return spinor_field(torus, basis, vals)
 
 
@@ -707,8 +727,9 @@ def cov_derivs(torus: TorusModel, action: FiberAction, vals: np.ndarray,
     """nabla_b vals = d_b vals + A_b vals for each b in dirs, one at a time,
     on a degree window.
 
-    vals, shape grid + (w,), holds the columns cols of a field that is zero
-    in every other column, and each nabla_b vals comes on the columns
+    vals, shape batch + grid + (w,) with any number of leading batch axes,
+    holds the columns cols of a field, or of each field of a batch, that is
+    zero in every other column, and each nabla_b vals comes on the columns
     nabla_window(action, cols) (w' of them): the kernel never touches a
     column outside them, which are exactly 0.  vals is first widened with
     zeros to those columns when the action reaches past cols.  A_b is
@@ -717,10 +738,11 @@ def cov_derivs(torus: TorusModel, action: FiberAction, vals: np.ndarray,
     vals[..., cols[:, k]], where coef[k], grid + (w',), holds slot k's
     coefficients: one (P, Q) @ (Q, w') gemm of terms[b] and the window's
     slots per direction, with the slots that read a column outside cols set
-    to 0.  Several directions share one gather of each of the K - 1
-    off-diagonal slots, held until the last direction is made; one
-    direction gathers a slot at a time.  Between two directions the
-    generator holds nothing else.
+    to 0, made once for the whole batch.  Several directions share one
+    gather of each of the K - 1 off-diagonal slots, held until the last
+    direction is made; one direction gathers a slot at a time.  Between two
+    directions the generator holds nothing else.  Each member of a batch
+    comes out as its single call, bit for bit, on the same window.
     """
     out, slots, at = _window_tables(action, cols)
     vals = np.asarray(vals, dtype=complex)
@@ -771,13 +793,16 @@ def _cov_deriv(torus: TorusModel, terms: np.ndarray, slots: np.ndarray,
     and the window's slots.
 
     Slot by slot, one (P, Q) @ (Q, w') gemm writes the slot's coefficient
-    field into one contiguous buffer, which then takes the product in place.
-    The off-diagonal slots come from held, or are gathered into one scratch
-    field when held is None.
+    field into one contiguous grid + (w',) buffer, which multiplies every
+    member of the batch; a single field takes the product in the buffer
+    itself.  The off-diagonal slots come from held, or are gathered into one
+    scratch field when held is None.
     """
-    out = partial_derivative(torus, vals, b)
-    coef = np.empty_like(vals)
+    batch = vals.ndim - torus.dim - 1
+    out = partial_derivative(torus, vals, b, batch)
+    coef = np.empty(vals.shape[batch:], dtype=complex)
     flat = coef.reshape(len(terms), vals.shape[-1])
+    prod = coef if batch == 0 else np.empty_like(vals)
     scratch = np.empty_like(vals) if held is None and len(slots) > 1 else None
     for k in range(len(slots)):
         np.matmul(terms, slots[k], out=flat)
@@ -789,16 +814,16 @@ def _cov_deriv(torus: TorusModel, terms: np.ndarray, slots: np.ndarray,
             term = np.take(vals, at[k - 1], axis=-1, out=scratch, mode="wrap")
         else:
             term = held[k - 1]
-        coef *= term
-        out += coef
+        np.multiply(coef, term, out=prod)
+        out += prod
     return out
 
 
 def cov_deriv_values(torus: TorusModel, action: FiberAction, vals: np.ndarray,
                      b: int) -> np.ndarray:
-    """nabla_b on raw spinor values, grid + (F,): cov_derivs on the one
-    direction b and the degree window vals occupies, with exact zeros in
-    every other column.
+    """nabla_b on raw spinor values, batch + grid + (F,): cov_derivs on the
+    one direction b and the degree window vals occupies (the union of its
+    members' windows), with exact zeros in every other column.
 
     Every spinor covariant derivative of the package goes through
     cov_derivs, whose several directions equal single ones bit for bit.

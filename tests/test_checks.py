@@ -1,10 +1,14 @@
 """Tests for the check registry, run as a library without the command line."""
 
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sympdirac import checks
+from sympdirac import cli
+from sympdirac import dirac as dr
 from sympdirac import fock as fk
 from sympdirac import geometry as ge
 from sympdirac import mpc
@@ -72,3 +76,53 @@ def test_covariance_row_runs_at_the_setup_quad_order(monkeypatch):
     assert orders == [47, 47, 47]
     row = next(r for r in rows if r["name"] == "heisenberg-covariance")
     assert row["pass"] is True
+
+
+def test_dirac_checks_build_one_context_per_connection(monkeypatch):
+    # the default config's connection is unitary and torsionful, so every
+    # dirac check runs on it or on the flat connection: two contexts in all
+    setup = cli.build_setup(cli.default_config())
+    made = []
+    make = dr.make_context
+    monkeypatch.setattr(dr, "make_context",
+                        lambda conn, basis: made.append(conn)
+                        or make(conn, basis))
+    rows = checks.run_checks(setup, ("dirac",))
+    assert len(rows) == 5 and all(r["pass"] for r in rows)
+    assert len(made) == 2 and len({id(conn) for conn in made}) == 2
+    assert setup.conn in made
+    assert not any(conn.Gamma.any() for conn in made if conn is not setup.conn)
+
+
+def test_first_order_adjoint_applies_D_prime_once_for_all_trials(
+        monkeypatch):
+    # the five trials are one batch, and the relative residual divides by
+    # ||D' psi|| from the D' psi of the gap: one application of D' in all,
+    # where single trials applied it twice each (ten)
+    setup = cli.build_setup(cli.default_config())
+    names = []
+    first_order = dr._first_order
+    monkeypatch.setattr(dr, "_first_order",
+                        lambda ctx, cols, grads, *which: names.extend(which)
+                        or first_order(ctx, cols, grads, *which))
+    rng = np.random.default_rng(5)
+    residuals = list(checks._check_first_order_adjoint(setup, rng))
+    assert len(residuals) == 5 and max(residuals) < 1e-10
+    assert names.count("Dp") == 1
+
+
+def test_warm_verify_peak_memory():
+    # the second run of the default verify report: 1.26 MiB with one field
+    # per operator call, 1.30 MiB with the dirac trials as batches (the
+    # contexts kept for the run), and 1.85 MiB had flat-plane-wave-eigenvalue
+    # batched all of its plane waves at once instead of one fiber column at
+    # a time; the bound is 0.1 MiB over the single-field peak
+    config = cli.default_config()
+    cli.run_verify(config)
+    tracemalloc.start()
+    try:
+        cli.run_verify(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.36 * 2 ** 20

@@ -1,5 +1,6 @@
 """Tests for the symplectic Dirac operators, adjoints and spectra."""
 
+import math
 import tracemalloc
 from functools import lru_cache
 from itertools import product
@@ -476,26 +477,29 @@ def test_operators_reject_field_with_another_basis():
             op(ctx, psi)
 
 
-def test_operators_reject_values_with_a_batch_axis():
-    # a SpinorField built directly skips spinor_field's shape check; a
-    # leading batch axis used to go through the operators and return a
-    # wrong answer (P_op: relative error 5.3 against three single calls
-    # at n = 1, M = 3, N = 4)
+def test_operators_reject_values_of_a_wrong_trailing_shape():
+    # a SpinorField built directly skips spinor_field's shape check; values
+    # whose trailing axes are not grid + (F,) are refused, with or without
+    # batch axes ahead of them (test_batches_equal_single_calls_bit_for_bit
+    # takes the batches); a batch axis used to go through the operators
+    # unchecked and return a wrong answer (P_op: relative error 5.3 against
+    # three single calls at n = 1, M = 3, N = 4)
     ctx, rng = make_setup(kind="unitary", cutoff=3, max_degree=4)
-    single = [random_psi(ctx, rng, cutoff=1) for _ in range(3)]
-    batched = ge.SpinorField(torus=ctx.torus, basis=ctx.basis,
-                             values=np.stack([p.values for p in single]))
+    v = random_psi(ctx, rng, cutoff=1).values
     F = ctx.basis.dim
-    short = ge.SpinorField(torus=ctx.torus, basis=ctx.basis,
-                           values=single[0].values[..., :F - 1])
-    for psi in (batched, short):
+    for wrong in (v[..., :F - 1], v[None, ..., :F - 1], v[0], v[:, :-1],
+                  v[..., None], np.stack([v, v], axis=-2)):
+        psi = ge.SpinorField(torus=ctx.torus, basis=ctx.basis, values=wrong)
         for op in (dr.P_op, dr.dirac_D, dr.laplacian, dr.aj_tau,
                    dr.nabla_full):
             with pytest.raises(ValueError, match=r"grid \+ \(F,\)"):
                 op(ctx, psi)
         with pytest.raises(ValueError, match=r"grid \+ \(F,\)"):
             dr.l2_inner(ctx, psi, psi)
-    assert dr.P_op(ctx, single[0]).values.shape == single[0].values.shape
+        with pytest.raises(ValueError, match=r"grid \+ \(F,\)"):
+            ge.spinor_field(ctx.torus, ctx.basis, wrong)
+    psi = ge.spinor_field(ctx.torus, ctx.basis, v)
+    assert dr.P_op(ctx, psi).values.shape == v.shape
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +626,8 @@ def test_operators_match_einsum_reference(n, cutoff, kind):
     full = slice(0, ctx.basis.dim)
     cl = dr._along([dr._apply(S, v, full, full) for S in ctx.fiber["D"]], X)
     assert _rel_gap(cl, ref_cl) < 1e-12
-    for field in (X, ctx.jtau):
+    # nabla_X psi is one real contraction; a complex X takes two
+    for field in (X, ctx.jtau, X + 0.5j * X[::-1], ctx.jtau - 2j * ctx.tau):
         assert _rel_gap(dr.nabla_dir(ctx, psi, field).values,
                         _ref_along(ctx, v, field)) < 1e-12
 
@@ -793,6 +798,101 @@ def test_non_unitary_nabla_reaches_two_degrees_each_way(n):
         ref = np.stack([_ref_nabla(ctx, psi.values, b)
                         for b in range(ctx.torus.dim)])
         assert _rel_gap(grads, ref) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batches: leading axes ahead of the grid, each member as its single call
+
+
+def _grid_operators(ctx):
+    """Every public grid operator, as psi -> values; the direction axis of
+    nabla_full leads the batch axes."""
+    X = np.linspace(-1.1, 0.7, ctx.torus.dim)
+    frame = sl.random_sp(ctx.model, np.random.default_rng(RNG_SEED))
+    ops = {name: (lambda psi, op=op: op(ctx, psi).values) for name, op in (
+        ("P", dr.P_op), ("D", dr.dirac_D), ("Dt", dr.dirac_Dtilde),
+        ("Dp", dr.dirac_Dprime), ("Ds", dr.dirac_Dsecond),
+        ("aj_tau", dr.aj_tau), ("laplacian", dr.laplacian))}
+    ops.update({
+        "nabla_full": lambda psi: dr.nabla_full(ctx, psi),
+        "nabla_star": lambda psi: dr.nabla_star(
+            ctx, dr.nabla_full(ctx, psi)).values,
+        "nabla_dir field": lambda psi: dr.nabla_dir(ctx, psi, ctx.jtau).values,
+        "nabla_dir constant": lambda psi: dr.nabla_dir(ctx, psi, X).values,
+        "curvature ca": lambda psi: dr.curvature_term(ctx, psi, "ca").values,
+        "curvature clcl": lambda psi: dr.curvature_term(
+            ctx, psi, "clcl").values,
+        "via_frame": lambda psi: dr.dirac_via_frame(ctx, psi, frame,
+                                                    "Dt").values,
+        "cov_deriv_values": lambda psi: ge.cov_deriv_values(
+            ctx.torus, ctx.action, psi.values, ctx.torus.dim - 1),
+        "spinor_cov_deriv": lambda psi: ge.spinor_cov_deriv(
+            ctx.conn, psi, 0).values,
+        "spinor_curvature": lambda psi: ge.spinor_curvature(
+            ctx.conn, psi, 0, 1).values,
+    })
+    return ops
+
+
+def _reductions(ctx):
+    """Every public reduction, as (psi, phi) -> one value per member."""
+    reds = {
+        "l2_inner": lambda psi, phi: dr.l2_inner(ctx, psi, phi),
+        "l2_norm": lambda psi, phi: dr.l2_norm(ctx, psi),
+        "adjoint": lambda psi, phi: dr.adjoint_residual(ctx, psi, phi),
+        "adjoint relative": lambda psi, phi: dr.adjoint_residual(
+            ctx, psi, phi, relative=True),
+        "oneform_inner": lambda psi, phi: dr.oneform_inner(
+            ctx, dr.nabla_full(ctx, psi), dr.nabla_full(ctx, phi)),
+    }
+    if ctx.conn.unitary:
+        for form in ("ca", "clcl"):
+            reds[f"weitzenbock {form}"] = (
+                lambda psi, phi, form=form: dr.weitzenbock_residual(
+                    ctx, psi, form))
+    return reds
+
+
+def _stacked(ctx, fields, shape):
+    values = np.stack([f.values for f in fields])
+    return ge.spinor_field(ctx.torus, ctx.basis,
+                           values.reshape(shape + values.shape[1:]))
+
+
+def _member(out, i, shape, lead):
+    """Member i (C order) of a result with lead axes ahead of the batch."""
+    flat = out.reshape(out.shape[:lead] + (-1,) + out.shape[lead + len(shape):])
+    return flat[(slice(None),) * lead + (i,)]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1,)])
+@pytest.mark.parametrize("n, kind", [(1, "unitary"), (2, "unitary"),
+                                     (1, "non-unitary"), (2, "non-unitary")])
+def test_batches_equal_single_calls_bit_for_bit(n, kind, shape):
+    # members on different windows, the batch on their union: every degree,
+    # the middle one, the top one and none (N = 4); a batch of one is the
+    # single field behind an axis of length 1
+    ctx, rng = make_setup(n=n, cutoff=4 if n == 1 else 1, max_degree=4,
+                          kind=kind)
+    sections = list(WINDOW_SECTIONS.values())[:math.prod(shape)]
+    members = [_window_section(ctx, rng, S) for S in sections]
+    partners = [random_psi(ctx, rng, cutoff=1) for _ in members]
+    psi = _stacked(ctx, members, shape)
+    phi = _stacked(ctx, partners, shape)
+    for name, op in _grid_operators(ctx).items():
+        out = op(psi)
+        lead = 1 if name == "nabla_full" else 0
+        assert out.shape[lead:lead + len(shape)] == shape, name
+        for i, member in enumerate(members):
+            assert np.array_equal(_member(out, i, shape, lead), op(member)), \
+                (name, i)
+    for name, red in _reductions(ctx).items():
+        out = red(psi, phi)
+        assert np.shape(out) == shape, name
+        for i, (member, partner) in enumerate(zip(members, partners)):
+            assert out.reshape(-1)[i] == red(member, partner), (name, i)
+    # a single field is the empty batch: scalars from the reductions
+    assert np.shape(dr.l2_inner(ctx, members[0], partners[0])) == ()
 
 
 @pytest.mark.parametrize("n, kind, K", [(1, "flat", 0), (1, "unitary", 1),

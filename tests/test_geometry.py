@@ -1,5 +1,7 @@
 """Tests for the flat-torus calculus: spectral fields, connections, curvature."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,24 @@ def test_partial_derivative_matches_fft_formula(n, grid):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_partial_derivative_batch_equals_single_fields(n):
+    # leading batch axes ahead of the grid, trailing component axes behind
+    # it: each member is differentiated as its single field, bit for bit
+    t = small_torus(n=n, cutoff=2)
+    rng = np.random.default_rng(RNG_SEED + 7)
+    batch = rng.normal(size=(2, 3) + t.grid_shape + (4,)) \
+        + 1j * rng.normal(size=(2, 3) + t.grid_shape + (4,))
+    for axis in range(t.dim):
+        got = ge.partial_derivative(t, batch, axis, batch=2)
+        assert got.shape == batch.shape
+        for i, j in product(range(2), range(3)):
+            assert np.array_equal(got[i, j], ge.partial_derivative(
+                t, batch[i, j], axis))
+    empty = ge.partial_derivative(t, batch[:0], 1, batch=2)
+    assert empty.shape == (0, 3) + t.grid_shape + (4,)
+
+
 def test_spectral_derivative_product_rule_within_budget():
     # cutoff-2 times cutoff-3 products stay below the Nyquist index 6
     t = small_torus()
@@ -112,6 +132,21 @@ def test_random_scalar_field_batch_equals_single_calls(n, cutoff, grid):
     batch = ge.random_scalar_field(t, many, cutoff=1, scale=0.4, shape=(3, 2))
     assert batch.shape == (3, 2) + t.grid_shape
     assert batch.tobytes() == singles.tobytes()
+    assert one.bit_generator.state == many.bit_generator.state
+
+
+@pytest.mark.parametrize("n, max_degree", [(1, None), (1, 2), (2, 2)])
+def test_random_spinor_field_batch_equals_single_calls(n, max_degree):
+    t = small_torus(n=n, cutoff=2 if n == 1 else 1)
+    B = fk.fock_basis(n, 4)
+    one, many = (np.random.default_rng(RNG_SEED) for _ in range(2))
+    singles = np.array([[ge.random_spinor_field(
+        t, B, one, cutoff=1, max_degree=max_degree).values for _ in range(2)]
+        for _ in range(3)])
+    batch = ge.random_spinor_field(t, B, many, cutoff=1,
+                                   max_degree=max_degree, shape=(3, 2))
+    assert batch.values.shape == (3, 2) + t.grid_shape + (B.dim,)
+    assert batch.values.tobytes() == singles.tobytes()
     assert one.bit_generator.state == many.bit_generator.state
 
 
@@ -547,10 +582,11 @@ def test_spinor_cov_deriv_flat_and_central():
 
 
 def test_spinor_derivatives_reject_misshapen_values():
-    # a SpinorField built directly skips spinor_field's shape check; with a
-    # leading batch axis both used to return a wrong answer with no error
-    # (relative errors between 2 and 7 against three single calls at
-    # n = 1, M = 3, N = 4, depending on the draw)
+    # a SpinorField built directly skips spinor_field's shape check; a
+    # leading batch axis used to go through unchecked and return a wrong
+    # answer (relative errors between 2 and 7 against three single calls at
+    # n = 1, M = 3, N = 4, depending on the draw).  A batch is now taken and
+    # equals the single calls bit for bit; a wrong trailing shape is refused
     t = small_torus(cutoff=3)
     B = fk.fock_basis(1, 4)
     rng = np.random.default_rng(RNG_SEED + 3)
@@ -558,9 +594,16 @@ def test_spinor_derivatives_reject_misshapen_values():
     single = [ge.random_spinor_field(t, B, rng, cutoff=1) for _ in range(3)]
     batched = ge.SpinorField(torus=t, basis=B,
                              values=np.stack([p.values for p in single]))
+    for i, psi in enumerate(single):
+        assert np.array_equal(ge.spinor_cov_deriv(conn, batched, 0).values[i],
+                              ge.spinor_cov_deriv(conn, psi, 0).values)
+        assert np.array_equal(
+            ge.spinor_curvature(conn, batched, 0, 1).values[i],
+            ge.spinor_curvature(conn, psi, 0, 1).values)
     short = ge.SpinorField(torus=t, basis=B,
-                           values=single[0].values[..., :B.dim - 1])
-    for psi in (batched, short):
+                           values=batched.values[..., :B.dim - 1])
+    for psi in (short, ge.SpinorField(torus=t, basis=B,
+                                      values=single[0].values[:, :-1])):
         with pytest.raises(ValueError, match=r"grid \+ \(F,\)"):
             ge.spinor_cov_deriv(conn, psi, 0)
         with pytest.raises(ValueError, match=r"grid \+ \(F,\)"):

@@ -82,24 +82,26 @@ class DiracContext:
         F = act.cols.shape[0]
         weights, keep, x, y, target = self._pattern
         del vars(self)["_pattern"]  # the table is all a spectrum needs later
-        # the coefficient fields as (2n, terms) x flat grid rows
+        # the real coefficient fields as flat grid rows x (2n, terms), times
+        # the real and imaginary parts of the weights: one real gemm
         P = torus.grid_size ** torus.dim
-        entries = weights[:, keep].T @ np.moveaxis(
-            act.terms.reshape(torus.dim, P, len(act.tensors)), -1, 1
-        ).reshape(len(weights), P)
+        terms = np.moveaxis(act.terms.reshape(torus.dim, P, -1), 0, 1)
+        entries = (terms.reshape(P, -1) @ np.ascontiguousarray(
+            weights[:, keep]).view(float)).view(complex)
+        del terms
         # [A^p, A^s] from the products A^X[i, h] A^Y[h, j] of entries of
         # different tables, A^s A^p with a minus sign, summed per (i, j)
-        prods = entries[x]
-        prods *= entries[y]
-        prods *= np.where(keep[x] < F * F, 1.0, -1.0)[:, None]
+        prods = entries[:, x]
+        prods *= entries[:, y]
+        prods *= np.where(keep[x] < F * F, 1.0, -1.0)
         comm, starts = np.unique(target, return_index=True)
         # the entries, their commutators and a zero column, stacked
         # grid-major, so the transform's result is the table itself
         E, C = len(keep), len(comm)
-        stacked = np.zeros((entries.shape[1], E + C + 1), dtype=complex)
-        stacked[:, :E] = entries.T
+        stacked = np.zeros((P, E + C + 1), dtype=complex)
+        stacked[:, :E] = entries
         del entries
-        stacked[:, E:-1] = np.add.reduceat(prods, starts, axis=0).T
+        stacked[:, E:-1] = np.add.reduceat(prods, starts, axis=1)
         del prods
         where = np.full(3 * F * F, E + C)
         where[np.append(keep, 2 * F * F + comm)] = np.arange(E + C)
@@ -158,21 +160,24 @@ def _p_hat_pattern(ctx: DiracContext) -> tuple:
 def _p_hat_build_bytes(ctx: DiracContext) -> int:
     """Peak bytes of building ctx.p_hat, bounded from ctx.action's terms.
 
-    Counted in grid-sized complex arrays: W term rows (2n per term), E kept
-    entries, X entry products, C commutator entries and S = E + C + 1
-    table columns.  The build holds at most W + E of them while it
-    contracts the terms, E + 2X while it multiplies, E + X + S and then
-    X + C + S while it stacks, and 3S while it transforms (the stacked
-    entries and two FFT buffers, the last of which is the table).  The
-    weights and the copy of their kept columns, the int64 index arrays
+    Counted in grid-sized real arrays, a complex one counting twice: W real
+    term rows (2n per term), and complex arrays of E kept entries, X entry
+    products, C commutator entries and S = E + C + 1 table columns.  The
+    build holds at most W + 2E of them while it contracts the terms (a
+    grid-major copy of them), 2E + 4X while it multiplies, 2E + 2X + 2S and
+    then 2X + 2C + 2S while it stacks, and 6S while it transforms (the
+    stacked entries and two FFT buffers, the last of which is the table).
+    The weights and the copy of their kept columns, the int64 index arrays
     (E + 3X + 2C + 3F^2 entries) and 8 KiB of FFT scratch (3.7 KB measured
     at n = 1) come on top.
     """
     weights, keep, x, _, target = ctx._pattern
     W, E, X, C = len(weights), len(keep), len(x), len(np.unique(target))
     S = E + C + 1
-    arrays = max(W + E, E + 2 * X, E + X + S, X + C + S, 3 * S)
-    return (16 * ctx.torus.grid_size ** ctx.torus.dim * arrays + 2 * weights.nbytes
+    arrays = max(W + 2 * E, 2 * (E + 2 * X), 2 * (E + X + S),
+                 2 * (X + C + S), 6 * S)
+    return (8 * ctx.torus.grid_size ** ctx.torus.dim * arrays
+            + 2 * weights.nbytes
             + 8 * (E + 3 * X + 2 * C + 3 * ctx.basis.dim ** 2) + 8 * 2 ** 10)
 
 
@@ -367,6 +372,10 @@ def _along(stack: np.ndarray, X) -> np.ndarray:
 def nabla_dir(ctx: DiracContext, psi: SpinorField, X: np.ndarray) -> SpinorField:
     """nabla_X psi for a constant vector or vector field X (grid + (2n,)),
     the same X for every member of a batch."""
+    d = ctx.torus.dim
+    if np.shape(X) not in ((d,), ctx.torus.grid_shape + (d,)):
+        raise ValueError(f"X has shape {np.shape(X)}, not (2n,) or grid +"
+                         f" (2n,) with 2n = {d}")
     cols, grads = _nabla_stack(ctx, *_on_window(ctx, psi))
     return _wrap(ctx, cols, _along(grads, X))
 

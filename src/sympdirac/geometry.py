@@ -111,6 +111,14 @@ def _diff_matrix(grid_size: int) -> np.ndarray:
     return D
 
 
+def _direction(torus: TorusModel, b) -> int:
+    """b as a base direction; anything but an integer 0 .. 2n-1 is refused."""
+    if not isinstance(b, (int, np.integer)) or not 0 <= b < torus.dim:
+        raise ValueError(f"direction {b!r} is not one of the base axes"
+                         f" 0 .. {torus.dim - 1}")
+    return int(b)
+
+
 def partial_derivative(torus: TorusModel, field: np.ndarray,
                        axis: int, batch: int = 0) -> np.ndarray:
     """Spectral d/dx_axis; axis counts base axes (0 .. 2n-1).
@@ -125,7 +133,7 @@ def partial_derivative(torus: TorusModel, field: np.ndarray,
     """
     G = torus.grid_size
     vals = np.ascontiguousarray(field, dtype=complex)
-    at = batch + axis
+    at = batch + _direction(torus, axis)
     # both lengths from the shape, so that an empty field reshapes too
     out = np.matmul(_diff_matrix(G), vals.view(float).reshape(
         math.prod(vals.shape[:at]), G, 2 * math.prod(vals.shape[at + 1:])))
@@ -180,6 +188,8 @@ def _reflect_conj(spec: np.ndarray, axes: tuple) -> np.ndarray:
 def _band(torus: TorusModel, cutoff: int | None) -> np.ndarray:
     """Grid indices of the wavenumbers |k| <= cutoff (default: the torus's)."""
     c = torus.cutoff if cutoff is None else cutoff
+    if c < 0:
+        raise ValueError("cutoff must be >= 0")
     if c > torus.nyquist:
         raise ValueError("cutoff exceeds the grid Nyquist index")
     return np.where(np.abs(wavenumbers(torus)) <= c)[0]
@@ -595,8 +605,8 @@ def random_spinor_field(torus: TorusModel, basis: fk.FockBasis,
 def lie_matrix_field(conn: Connection, basis: fk.FockBasis) -> np.ndarray:
     """Pointwise fiber matrices of (a_b(x), Gamma_b(x)), shape (2n,)+grid+(F,F).
 
-    The terms of fiber_action times its tensors: the dense reference form of
-    its row-sparse kernel.
+    The real terms of fiber_action times its complex tensors: the dense
+    reference form of its row-sparse kernel.
     """
     action = fiber_action(conn, basis)
     return np.tensordot(action.terms, action.tensors, axes=1)
@@ -661,16 +671,19 @@ def degree_reach(degrees: np.ndarray, patterns: np.ndarray) -> list:
 class FiberAction:
     """The fiber action of a connection as terms and in row-sparse storage.
 
-    Direction b acts at each grid point as sum_q terms[b][..., q] tensors[q],
-    the split of mpc.lie_action_terms less the terms that are zero at every
-    point and direction.  Row r of every fiber matrix may be non-zero only
-    in the columns cols[r, :counts[r]], the union of the tensors' != 0
-    patterns (ELL storage).  Slot 0 of every row is its diagonal, cols[:, 0]
-    = arange(F), with a zero slot where the pattern has no diagonal entry;
-    the off-diagonal columns follow in ascending order.  slots[k, q, r] is
-    entry (r, cols[r, k]) of tensors[q], so the direction-b entry at (r,
-    cols[r, k]) is terms[b] @ slots[k][:, r] at every grid point; the padded
-    slots k >= counts[r] hold column 0 and 0.  An action with no terms (a
+    Direction b acts at each grid point as sum_q terms[b][..., q] tensors[q].
+    u(n) + iR is a real Lie algebra, so the terms are real: the real and
+    imaginary parts of the coefficient fields X of mpc.lie_action_terms,
+    with the tensors T and iT, less the real columns that are zero at every
+    point and direction (Re mu and the real diagonal of H, at least).  Row r
+    of every fiber matrix may be non-zero only in the columns cols[r,
+    :counts[r]], the union of the tensors' != 0 patterns (ELL storage).
+    Slot 0 of every row is its diagonal, cols[:, 0] = arange(F), with a
+    zero slot where the pattern has no diagonal entry; the off-diagonal
+    columns follow in ascending order.  slots[k, q, r] is entry (r, cols[r,
+    k]) of tensors[q], so the direction-b entry at (r, cols[r, k]) is
+    terms[b] @ slots[k][:, r] at every grid point; the padded slots k >=
+    counts[r] hold column 0 and 0.  An action with no terms (a
     flat connection) has no slots at all, K = 0.  No coefficient field is
     stored: each kernel call forms those of its degree window (see
     cov_derivs), so a window is a contiguous grid + (w,) array.  reach maps
@@ -680,11 +693,11 @@ class FiberAction:
     slot arrays of at most K (Q + 1) F entries each, no grid axis.
     """
 
-    terms: np.ndarray    # (2n,) + grid + (Q,), complex
-    tensors: np.ndarray  # (Q, F, F)
+    terms: np.ndarray    # (2n,) + grid + (Q,), float64
+    tensors: np.ndarray  # (Q, F, F), complex
     cols: np.ndarray     # (F, K) int
     counts: np.ndarray   # (F,) int
-    slots: np.ndarray    # (K, Q, F), complex, so that no gemm casts
+    slots: np.ndarray    # (K, Q, F), complex
     reach: DegreeReach
     tables: dict = field(default_factory=dict, repr=False)
 
@@ -701,8 +714,11 @@ def fiber_action(conn: Connection, basis: fk.FockBasis) -> FiberAction:
     X, T = mpc.split_action_terms(
         m, basis, conn.a, sl.linear_part(m, conn.Gamma),
         None if conn.unitary else sl.antilinear_part(m, conn.Gamma))
+    # u(n) + iR is a real algebra: the real coefficient fields Re X and Im X
+    # times T and iT, less the columns that are zero everywhere
+    X = np.concatenate([X.real, X.imag], axis=-1)
     live = X.reshape(-1, X.shape[-1]).any(axis=0)
-    X, T = X[..., live], T[live]
+    X, T = X[..., live], np.concatenate([T, 1j * T])[live]
     eye = np.eye(T.shape[-1], dtype=bool)
     # every row stores its diagonal once any term is live
     stored = (T.any(axis=0) & ~eye) | (eye & live.any())
@@ -717,8 +733,7 @@ def fiber_action(conn: Connection, basis: fk.FockBasis) -> FiberAction:
     pattern = np.eye(len(cols), dtype=bool)
     pattern[rows, c] = True
     return FiberAction(terms=X, tensors=T, cols=cols, counts=counts,
-                       slots=np.ascontiguousarray(slots.transpose(2, 0, 1),
-                                                  dtype=complex),
+                       slots=np.ascontiguousarray(slots.transpose(2, 0, 1)),
                        reach=degree_reach(basis.degrees, pattern[None])[0])
 
 
@@ -736,14 +751,17 @@ def cov_derivs(torus: TorusModel, action: FiberAction, vals: np.ndarray,
     direction b of the row-sparse fiber action on the window's rows, applied
     as coef[0] * vals on the diagonal slot plus sum_{k >= 1} coef[k] *
     vals[..., cols[:, k]], where coef[k], grid + (w',), holds slot k's
-    coefficients: one (P, Q) @ (Q, w') gemm of terms[b] and the window's
-    slots per direction, with the slots that read a column outside cols set
-    to 0, made once for the whole batch.  Several directions share one
-    gather of each of the K - 1 off-diagonal slots, held until the last
-    direction is made; one direction gathers a slot at a time.  Between two
-    directions the generator holds nothing else.  Each member of a batch
+    coefficients: one real (P, Q) @ (Q, 2w') gemm of the real terms[b] and
+    the float view of the window's complex slots per direction, with the
+    slots that read a column outside cols set to 0, made once for the whole
+    batch.  Several directions share one gather of each of the K - 1
+    off-diagonal slots, held until the last direction is made; one
+    direction gathers a slot at a time.  Between two directions the
+    generator holds nothing else.  A direction outside 0 .. 2n-1 is
+    refused before any work.  Each member of a batch
     comes out as its single call, bit for bit, on the same window.
     """
+    dirs = [_direction(torus, b) for b in dirs]
     out, slots, at = _window_tables(action, cols)
     vals = np.asarray(vals, dtype=complex)
     if out != cols:
@@ -770,8 +788,9 @@ def _window_tables(action: FiberAction, cols: slice) -> tuple:
     """(out, slots, at) of cov_derivs on the input window cols, made on the
     first call for that window and kept in action.tables.
 
-    out is action.reach.window(cols); slots, (K, Q, w'), the slots of the
-    rows in out, 0 where a slot reads a column outside cols; and at,
+    out is action.reach.window(cols); slots, (K, Q, 2w') float, the float
+    view of the complex slots of the rows in out, 0 where a slot reads a
+    column outside cols, ready for a real gemm with the terms; and at,
     (K - 1, w'), the off-diagonal columns read, counted from out.start.
     """
     key = (cols.start, cols.stop)
@@ -781,7 +800,8 @@ def _window_tables(action: FiberAction, cols: slice) -> tuple:
         inside = (reads >= cols.start) & (reads < cols.stop)
         # a slot that reads outside cols has coefficient 0: any column will do
         action.tables[key] = (
-            out, np.where(inside[:, None], action.slots[..., out], 0.0),
+            out, np.where(inside[:, None], action.slots[..., out],
+                          0.0).view(float),
             np.where(inside[1:], reads[1:] - out.start, 0))
     return action.tables[key]
 
@@ -789,19 +809,19 @@ def _window_tables(action: FiberAction, cols: slice) -> tuple:
 def _cov_deriv(torus: TorusModel, terms: np.ndarray, slots: np.ndarray,
                vals: np.ndarray, b: int, at: np.ndarray,
                held: list | None) -> np.ndarray:
-    """nabla_b vals for cov_derivs, from direction b's terms, (points, Q),
-    and the window's slots.
+    """nabla_b vals for cov_derivs, from direction b's real terms, (points,
+    Q), and the float view of the window's slots, (K, Q, 2w').
 
-    Slot by slot, one (P, Q) @ (Q, w') gemm writes the slot's coefficient
-    field into one contiguous grid + (w',) buffer, which multiplies every
-    member of the batch; a single field takes the product in the buffer
-    itself.  The off-diagonal slots come from held, or are gathered into one
-    scratch field when held is None.
+    Slot by slot, one real (P, Q) @ (Q, 2w') gemm writes the slot's complex
+    coefficient field, as its float view, into one contiguous grid + (w',)
+    buffer, which multiplies every member of the batch; a single field
+    takes the product in the buffer itself.  The off-diagonal slots come
+    from held, or are gathered into one scratch field when held is None.
     """
     batch = vals.ndim - torus.dim - 1
     out = partial_derivative(torus, vals, b, batch)
     coef = np.empty(vals.shape[batch:], dtype=complex)
-    flat = coef.reshape(len(terms), vals.shape[-1])
+    flat = coef.view(float).reshape(len(terms), 2 * vals.shape[-1])
     prod = coef if batch == 0 else np.empty_like(vals)
     scratch = np.empty_like(vals) if held is None and len(slots) > 1 else None
     for k in range(len(slots)):

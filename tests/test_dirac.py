@@ -632,6 +632,17 @@ def test_operators_match_einsum_reference(n, cutoff, kind):
                         _ref_along(ctx, v, field)) < 1e-12
 
 
+def test_nabla_dir_refuses_a_misshapen_vector():
+    # at n = 1 an X of three components used to fail in a reshape
+    ctx, rng = make_setup(n=1, cutoff=2, max_degree=3)
+    psi = random_psi(ctx, rng, cutoff=1)
+    grid = ctx.torus.grid_shape
+    for X in (np.ones(3), np.ones(1), np.ones((2, 2)), np.ones(grid + (3,)),
+              np.ones(grid[:-1] + (2,))):
+        with pytest.raises(ValueError, match=r"not \(2n,\) or grid"):
+            dr.nabla_dir(ctx, psi, X)
+
+
 # ---------------------------------------------------------------------------
 # degree windows: the kernels work on the Fock degrees a section occupies
 
@@ -1058,8 +1069,11 @@ def test_context_never_forms_the_dense_fiber_action(monkeypatch, n, kind):
 @pytest.mark.parametrize("n", [1, 2])
 def test_unitary_fiber_action_terms_keep_degree(n):
     # a unitary Gamma is projected to its j-linear part, so no term raises
-    # or lowers the degree; a general one brings the degree +/-2 terms
-    for kind, Q in (("unitary", 1 + n * n), ("general", 1 + 3 * n * n)):
+    # or lowers the degree; a general one brings the degree +/-2 terms.  The
+    # real terms are Im mu, Im H and Re H off the diagonal (H is
+    # anti-Hermitian), and for a general Gamma Re and Im of conj(W) and W
+    for kind, Q in (("unitary", 2 * n * n - n + 1),
+                    ("general", 6 * n * n - n + 1)):
         ctx, _ = make_setup(n=n, cutoff=4 if n == 1 else 1, max_degree=4,
                             kind=kind)
         T = ctx.action.tensors
@@ -1082,6 +1096,8 @@ def test_fiber_action_splits_gamma_once(monkeypatch, n, kind):
     X, T = mpc.lie_action_terms(m, ctx.basis, conn.a,
                                 sl.linear_part(m, conn.Gamma)
                                 if conn.unitary else conn.Gamma)
+    X = np.concatenate([X.real, X.imag], axis=-1)
+    T = np.concatenate([T, 1j * T])
     live = X.reshape(-1, X.shape[-1]).any(axis=0)
     calls = []
     for name in ("linear_part", "antilinear_part"):
@@ -1097,12 +1113,31 @@ def test_fiber_action_splits_gamma_once(monkeypatch, n, kind):
     assert np.array_equal(action.tensors, T[live])
 
 
+@pytest.mark.parametrize("n, kind", [(1, "unitary"), (1, "general"),
+                                     (2, "unitary"), (2, "general")])
+def test_fiber_action_terms_are_real(n, kind):
+    # u(n) + iR is a real Lie algebra: the coefficient fields are real, none
+    # is zero everywhere, and times the complex tensors they give the dense
+    # fiber action of the projected Gamma
+    ctx, _ = make_setup(n=n, cutoff=4 if n == 1 else 1, max_degree=4,
+                        kind=kind)
+    conn, m, action = ctx.conn, ctx.model, ctx.action
+    assert action.terms.dtype == np.float64
+    assert action.tensors.dtype == action.slots.dtype == np.complex128
+    assert action.terms.reshape(-1, len(action.tensors)).any(axis=0).all()
+    want = mpc.lie_action(m, ctx.basis, conn.a,
+                          sl.linear_part(m, conn.Gamma) if conn.unitary
+                          else conn.Gamma)
+    got = np.tensordot(action.terms, action.tensors, 1)
+    assert _rel_gap(got, want) <= 1e-14
+
+
 def test_context_stores_the_fiber_action_row_sparse():
     # the benchmark's fields size: the dense (2n,) + grid + (F, F) matrices
     # take 33 MiB and the coefficient fields of the K = 3 slots 6.6 MiB;
-    # the context keeps neither, only the 0.7 MiB of terms and constant
-    # slots (1.0 MiB in all, peak 2.7 MiB), and never forms a dense
-    # direction (8.2 MiB)
+    # the context keeps neither, only the 0.5 MiB of real terms and the
+    # constant slots (0.84 MiB in all, peak 2.7 MiB), and never forms a
+    # dense direction (8.2 MiB)
     t = ge.torus_model(sl.standard_model(2, hbar=0.7), 2)
     basis = fk.fock_basis(2, 4)
     conn = ge.random_connection(t, np.random.default_rng(RNG_SEED), cutoff=1,

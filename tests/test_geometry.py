@@ -91,6 +91,60 @@ def test_partial_derivative_batch_equals_single_fields(n):
     assert empty.shape == (0, 3) + t.grid_shape + (4,)
 
 
+BAD_DIRECTIONS = (2, -1, 1.0)
+
+
+def test_partial_derivative_refuses_an_axis_outside_the_base():
+    # at n = 1, axis 2 used to fail in a reshape and -1 to differentiate a
+    # fiber axis or fail likewise
+    t = small_torus(cutoff=2)
+    f = np.ones(t.grid_shape + (2,))
+    for axis in BAD_DIRECTIONS:
+        with pytest.raises(ValueError, match="base axes 0 .. 1"):
+            ge.partial_derivative(t, f, axis)
+
+
+def _direction_setup():
+    t = small_torus(cutoff=2)
+    B = fk.fock_basis(1, 3)
+    rng = np.random.default_rng(RNG_SEED + 5)
+    conn = ge.random_connection(t, rng, cutoff=1, unitary=True)
+    return conn, B, ge.random_spinor_field(t, B, rng, cutoff=1)
+
+
+def test_cov_derivs_refuses_a_direction_outside_the_base():
+    conn, B, psi = _direction_setup()
+    action = ge.fiber_action(conn, B)
+    for b in BAD_DIRECTIONS:
+        with pytest.raises(ValueError, match="base axes 0 .. 1"):
+            ge.cov_derivs(conn.torus, action, psi.values, (0, b),
+                          slice(0, B.dim))
+
+
+def test_cov_deriv_values_refuses_a_direction_outside_the_base():
+    # b = 2 used to raise a bare IndexError, b = -1 a reshape error
+    conn, B, psi = _direction_setup()
+    action = ge.fiber_action(conn, B)
+    for b in BAD_DIRECTIONS:
+        with pytest.raises(ValueError, match="base axes 0 .. 1"):
+            ge.cov_deriv_values(conn.torus, action, psi.values, b)
+
+
+def test_spinor_cov_deriv_refuses_a_direction_outside_the_base():
+    conn, _, psi = _direction_setup()
+    for b in BAD_DIRECTIONS:
+        with pytest.raises(ValueError, match="base axes 0 .. 1"):
+            ge.spinor_cov_deriv(conn, psi, b)
+
+
+def test_spinor_curvature_refuses_a_direction_outside_the_base():
+    conn, _, psi = _direction_setup()
+    for b in BAD_DIRECTIONS:
+        for pair in ((0, b), (b, 1)):
+            with pytest.raises(ValueError, match="base axes 0 .. 1"):
+                ge.spinor_curvature(conn, psi, *pair)
+
+
 def test_spectral_derivative_product_rule_within_budget():
     # cutoff-2 times cutoff-3 products stay below the Nyquist index 6
     t = small_torus()
@@ -120,6 +174,17 @@ def test_random_scalar_field_band_and_reality():
     assert np.abs(h.real).max() < 1e-15
     with pytest.raises(ValueError):
         ge.random_scalar_field(t, rng, cutoff=t.nyquist + 1)
+
+
+def test_random_fields_refuse_a_negative_cutoff():
+    # an empty band used to give an all-zero "random" field
+    t = small_torus()
+    rng = np.random.default_rng(RNG_SEED)
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        ge.random_scalar_field(t, rng, cutoff=-1)
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        ge.random_spinor_field(t, fk.fock_basis(1, 2), rng, cutoff=-1)
+    assert np.ptp(ge.random_scalar_field(t, rng, cutoff=0)) == 0.0
 
 
 @pytest.mark.parametrize("n, cutoff, grid", [(1, 4, None), (1, 4, 25),
